@@ -7,19 +7,17 @@
 // prefix overlap (system prompts, few-shot templates, multi-turn chats - the
 // LMCache/Kcache regime), and the pool makes that overlap visible to every
 // policy knob: at a request's first admission its prefix is probed
-// block-by-block against a sharded hash table keyed (prefix group, block
-// index); hits pin the existing block (refcount++) and charge the budget
-// ZERO new bytes, misses allocate and charge once, and from then on the
-// block is shared - eviction respects refcounts (only a block whose last
-// pinner released it can swap to the host tier), and finish/preempt unref
-// instead of free.
+// block-by-block against one hash table keyed (prefix group, block index);
+// hits pin the existing block (refcount++) and charge the budget ZERO new
+// bytes, misses allocate and charge once, and from then on the block is
+// shared - eviction respects refcounts (only a block whose last pinner
+// released it can swap to the host tier), and finish/preempt unref instead
+// of free.
 //
-// Structure follows RocksDB's sharded_cache/clock_cache split: a power-of-two
-// shard array, the hash's high bits select the shard, and each shard owns an
-// independent table plus its own lookup/hit/insert counters behind a
-// shard-local annotated Mutex (common/sync.hpp). The serving engine is
-// single-threaded today, so the locks are uncontended; they exist so clang
-// -Wthread-safety machine-checks the shard contract from day one.
+// The table and its lookup/hit counters sit behind one annotated Mutex
+// (common/sync.hpp). The serving engine is single-threaded today, so the
+// lock is uncontended; it exists so clang -Wthread-safety machine-checks
+// that no future concurrent admission sweep touches the table unlocked.
 //
 // Block-level state machine. Every tracked unit is in exactly one state:
 //
@@ -74,9 +72,6 @@ struct KvBlockPoolConfig {
   /// Core cycles charged per refetched block (0 = derive block_bytes / 8,
   /// the ~8 B/cycle modeled host link of KvPagerConfig).
   Cycle refetch_cost = 0;
-  /// log2 of the shard count (RocksDB sharded_cache idiom: the hash's high
-  /// bits select the shard).
-  std::uint32_t shard_bits = 4;
 
   [[nodiscard]] Cycle cycles_per_block() const {
     if (refetch_cost != 0) return refetch_cost;
@@ -84,16 +79,16 @@ struct KvBlockPoolConfig {
     return derived == 0 ? 1 : derived;
   }
 
-  /// Throws std::invalid_argument on a bad block size or shard count.
+  /// Throws std::invalid_argument on a bad block size.
   void validate() const;
 };
 
-/// Shared, ref-counted KV block pool. Request indices are the engine's dense
-/// indices (0 .. num_requests-1), matching the ReqState / peak_bytes arrays
-/// in run_continuous. All mutating calls enforce the request lifecycle
-/// (admit -> [release -> resume]* -> finish) and throw std::logic_error on a
-/// misuse such as a double release or a finish while released - the engine
-/// never does these, and the ledger tests pin that the pool refuses them.
+/// Shared, ref-counted KV block pool. Request indices are the serving
+/// engine's dense indices (0 .. num_requests-1). All mutating calls enforce
+/// the request lifecycle (admit -> [release -> resume]* -> finish) and throw
+/// std::logic_error on a misuse such as a double release or a finish while
+/// released - the engine never does these, and the ledger tests pin that the
+/// pool refuses them.
 class KvBlockPool {
  public:
   /// Per-request block-layout input: the peak footprint the budget pins and
@@ -178,26 +173,11 @@ class KvBlockPool {
     std::uint32_t holders = 0;
     bool resident = true;
   };
-  /// One hash shard (sharded_cache idiom): its slice of the table plus its
-  /// own counters, behind a shard-local lock. The serving engine is
-  /// single-threaded today, so the lock is uncontended - it completes the
-  /// sharded_cache structure and puts the shard's state under the
-  /// clang -Wthread-safety contract, so a future concurrent admission
-  /// sweep cannot touch a table without holding its shard's mutex.
-  struct Shard {
-    mutable Mutex mu;
-    std::unordered_map<std::uint64_t, Entry> table GUARDED_BY(mu);
-    std::uint64_t lookups GUARDED_BY(mu) = 0;
-    std::uint64_t hits GUARDED_BY(mu) = 0;
-    std::uint64_t inserts GUARDED_BY(mu) = 0;
-  };
   enum class ReqState : std::uint8_t { kNew, kActive, kReleased, kFinished };
 
   [[nodiscard]] std::uint64_t shared_blocks(std::size_t i) const;
   [[nodiscard]] std::uint64_t private_whole_blocks(std::size_t i) const;
   [[nodiscard]] std::uint64_t private_bytes(std::size_t i) const;
-  [[nodiscard]] Shard& shard_of(std::uint64_t key);
-  [[nodiscard]] const Shard& shard_of(std::uint64_t key) const;
   [[nodiscard]] static std::uint64_t block_key(std::uint32_t group,
                                                std::uint64_t index);
   void require_state(std::size_t i, ReqState expect, const char* call) const;
@@ -207,7 +187,10 @@ class KvBlockPool {
   std::vector<ReqState> state_;
   /// Private whole blocks of request i currently on the host tier.
   std::vector<std::uint64_t> private_swapped_;
-  std::vector<Shard> shards_;
+  mutable Mutex mu_;
+  std::unordered_map<std::uint64_t, Entry> table_ GUARDED_BY(mu_);
+  std::uint64_t lookups_ GUARDED_BY(mu_) = 0;
+  std::uint64_t hits_ GUARDED_BY(mu_) = 0;
   std::uint64_t shared_bytes_ = 0;
   std::uint64_t charged_bytes_ = 0;
   std::uint64_t logical_bytes_ = 0;

@@ -63,8 +63,8 @@ struct KvPagerConfig {
 };
 
 /// Per-request resident/swapped block bookkeeping. Request indices are the
-/// engine's dense indices (0 .. num_requests-1), matching the ReqState /
-/// peak_bytes arrays in run_continuous.
+/// engine's dense indices (0 .. num_requests-1), matching the serving
+/// engine's request table.
 class KvPager {
  public:
   /// What one resume moved back from the host tier.

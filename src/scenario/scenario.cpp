@@ -569,627 +569,632 @@ BatchStats DecodePass::run_coscheduled(bool verbose) const {
   return out;
 }
 
-BatchStats DecodePass::run_continuous(bool verbose) const {
-  BatchStats out;
-  out.mode = ExecutionMode::kContinuous;
-  const std::vector<RequestSpec>& reqs = batch_.requests();
-  const AdmissionPolicy policy(pass_cfg_.serving);
-  out.per_request.reserve(reqs.size());
-  for (const RequestSpec& req : reqs) {
-    RequestStats rs;
-    rs.id = req.id;
-    rs.seq_len = req.seq_len;
-    rs.decode_steps = req.decode_steps;
-    rs.streamed = true;
-    rs.arrival_cycle = req.arrival_cycle;
-    rs.slice.request_id = req.id;
-    out.per_request.push_back(rs);
-  }
-  const auto by_id = request_index_map(out.per_request);
+namespace {
 
-  // Per-request operator chains in schedule order (step-major, then layer,
-  // then Logit -> Attend [-> GEMV]).
-  std::vector<std::vector<std::size_t>> chains(reqs.size());
-  for (std::size_t i = 0; i < schedule_.size(); ++i) {
-    chains[by_id.at(schedule_[i].request_id)].push_back(i);
-  }
+// The continuous-batching engine behind ExecutionMode::kContinuous: one
+// event-driven state machine over the batch's requests. Each request is in
+// exactly one phase (docs/architecture.md draws the transitions):
+//
+//   pending -> queued -> [refetching ->] ready -> in-flight -> ready -> ...
+//                ^                                               |
+//                +------------------- preempt -------------------+
+//   ... -> in-flight -(last op completes)-> finished
+//
+// pending: not yet arrived. queued: arrived, waiting for its first
+// admission or re-queued by a preemption. refetching: admitted (its KV
+// budget share is pinned again) but its next operator stays out of the
+// machine until a host-tier transfer completes at `refetch_ready`. ready:
+// admitted, next operator not yet in the machine. in-flight: its current
+// operator is in the live machine - only an in-flight request can complete
+// an operator. Under AdmitPolicy::kNone every arrival is admitted the cycle
+// it enters the queue, which reproduces the raw streaming engine byte for
+// byte.
+//
+// The stream is simulated as a chain of System segments sharing one
+// timeline (`base_` = stream cycle where the live segment starts). While
+// two or more requests overlap, one segment hosts them all: the admission
+// hook enqueues a request's next operator the moment its previous one
+// completes and admits arrivals mid-flight, so the machine never drains. A
+// request *alone* in the machine instead hands off at the drain boundary:
+// the segment ends and its next operator starts in a fresh System - exactly
+// a one-request co-scheduled wave, which is what makes the zero-arrival
+// batch-of-one reproduce kCoScheduled bit for bit.
+//
+// The engine's state changes only at events: a thread-block completion, an
+// arrival or a refetch completion (both published as the System's wake
+// hint), and the segment boundaries - so System::run only calls the hook
+// there.
+class ServingEngine {
+ public:
+  ServingEngine(const RequestBatch& batch, const DecodePassConfig& pass_cfg,
+                const SimConfig& cfg, const std::vector<ScheduledOp>& schedule);
 
-  // Serving state machine. A request is pending (not yet arrived), queued
-  // (arrived, waiting in the serving queue - either for its first admission
-  // or re-queued after a preemption), running (operators in the live
-  // machine), or finished. Under AdmitPolicy::kNone every arrival moves
-  // queued -> running the same cycle it enters the queue, which reproduces
-  // the raw streaming engine byte for byte.
-  struct ReqState {
-    std::size_t cursor = 0;    // next chain op to enqueue
-    bool queued = false;       // in the serving queue
-    bool running = false;      // has work in the live machine
-    bool admitted_ever = false;  // first admission happened (KV resident)
-    bool finished = false;
-    Cycle queue_enter = 0;     // stream cycle it entered the queue
-    // Paged mode only: the request was re-admitted with swapped-out blocks
-    // and its next operator is held back until the refetch transfer
-    // completes at stream cycle `refetch_ready`.
-    bool awaiting_refetch = false;
-    Cycle refetch_ready = 0;
+  BatchStats run(bool verbose);
+
+ private:
+  enum class Phase : std::uint8_t {
+    kPending,
+    kQueued,
+    kRefetching,
+    kReady,
+    kInFlight,
+    kFinished,
   };
-  std::vector<ReqState> st(reqs.size());
-  // KV bytes pinned by resident requests (admitted, not yet finished).
-  // Under kv_evict=none a preempted request keeps its full peak pinned;
-  // under cold-blocks eviction its swapped blocks leave this ledger until
-  // the resume refetch re-pins them.
-  std::uint64_t resident_bytes = 0;
-  std::vector<std::uint64_t> peak_bytes(reqs.size());
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    peak_bytes[i] = batch_.peak_kv_bytes(reqs[i], pass_cfg_.num_layers);
-  }
+  struct Request {
+    Phase phase = Phase::kPending;
+    // Operator chain in schedule order (step-major, then layer, then
+    // Logit -> Attend [-> GEMV]) and the next op to enqueue.
+    std::vector<std::size_t> chain;
+    std::size_t cursor = 0;
+    bool admitted_ever = false;  // first admission happened (KV resident)
+    Cycle queue_enter = 0;       // stream cycle it entered the queue
+    Cycle refetch_ready = 0;     // end of the refetch hold (kRefetching)
+    // Live segment: thread blocks committed so far and the dense scheduler
+    // index (cached - the completion check must be plain array reads).
+    std::uint64_t seg_enq = 0;
+    std::uint32_t dense = kNoRequest;
+  };
+
+  // -- queries ----------------------------------------------------------------
+  /// Holds the machine (or its budget share): refetching, ready, in flight.
+  [[nodiscard]] bool running(std::size_t i) const;
+  [[nodiscard]] std::size_t num_running() const;
+  /// Remaining service-demand estimate: remaining chain operators weighted
+  /// by the request's peak KV tokens (longer contexts, longer operators).
+  [[nodiscard]] std::uint64_t remaining_work(std::size_t i) const;
+  [[nodiscard]] std::uint64_t admit_bytes(std::size_t i) const;
+  [[nodiscard]] std::vector<std::uint64_t> running_work(
+      std::size_t except) const;
+  [[nodiscard]] std::vector<std::uint64_t> eviction_pressure_on(
+      std::size_t i) const;
+  /// Earliest arrival or refetch completion strictly after `after`
+  /// (kNeverCycle when none is pending).
+  [[nodiscard]] Cycle next_landmark(Cycle after) const;
+
+  // -- transitions ------------------------------------------------------------
+  bool on_arrivals(Cycle now);
+  std::size_t admit_sweep(Cycle now);
+  void admit(std::size_t i, Cycle now);
+  void enqueue_ready(Cycle now);
+  void enqueue(std::size_t i);
+  std::size_t commit(System* sys);
+  void op_complete(std::size_t i, Cycle now);
+  void preempt(std::size_t i, Cycle now);
+  void finish(std::size_t i, Cycle now);
+
+  // -- segment driver ---------------------------------------------------------
+  std::size_t start_segment();
+  void on_hook(System& sys, Cycle now);
+
+  const RequestBatch& batch_;
+  const std::vector<RequestSpec>& reqs_;
+  const DecodePassConfig& pass_cfg_;
+  const SimConfig& cfg_;
+  const std::vector<ScheduledOp>& schedule_;
+  const AdmissionPolicy policy_;
+  const bool paged_;
+
+  BatchStats out_;
+  std::unordered_map<std::uint32_t, std::size_t> by_id_;
+  std::vector<Request> req_;
+  std::vector<std::uint64_t> peak_bytes_;
+  // KV bytes pinned by admitted, unfinished requests. Under kv_evict=none a
+  // preempted request keeps its full peak pinned; under cold-blocks its
+  // swapped blocks leave this ledger until the resume refetch re-pins them.
+  std::uint64_t resident_bytes_ = 0;
   // Shared KV block pool (kv_block_pool.hpp): instantiated whenever paged
   // eviction or prefix sharing is on. With sharing off every layout is
-  // private and the pool's charges/frees/refetch prices reproduce the
-  // legacy per-request pager byte for byte; with sharing on, requests in a
-  // prefix group pin their common leading blocks once.
+  // private and the pool's charges, frees and refetch prices reproduce the
+  // per-request pager byte for byte.
+  std::optional<KvBlockPool> pool_;
+  // In-engine ledger auditor (invariants.hpp): every transition reports
+  // itself, so a KV-conservation break throws on the cycle it happens.
+  std::optional<ServingAuditor> auditor_;
+
+  Cycle base_ = 0;
+  std::optional<DynamicTbSource> src_;  // the live segment's source
+  std::vector<std::size_t> touched_;    // enqueued, not yet committed
+};
+
+ServingEngine::ServingEngine(const RequestBatch& batch,
+                             const DecodePassConfig& pass_cfg,
+                             const SimConfig& cfg,
+                             const std::vector<ScheduledOp>& schedule)
+    : batch_(batch),
+      reqs_(batch.requests()),
+      pass_cfg_(pass_cfg),
+      cfg_(cfg),
+      schedule_(schedule),
+      policy_(pass_cfg.serving),
+      paged_(pass_cfg.serving.paged()),
+      req_(reqs_.size()),
+      peak_bytes_(reqs_.size()) {
+  out_.mode = ExecutionMode::kContinuous;
+  out_.per_request.reserve(reqs_.size());
+  for (const RequestSpec& r : reqs_) {
+    RequestStats rs;
+    rs.id = r.id;
+    rs.seq_len = r.seq_len;
+    rs.decode_steps = r.decode_steps;
+    rs.streamed = true;
+    rs.arrival_cycle = r.arrival_cycle;
+    rs.slice.request_id = r.id;
+    out_.per_request.push_back(rs);
+  }
+  by_id_ = request_index_map(out_.per_request);
+  for (std::size_t i = 0; i < schedule_.size(); ++i) {
+    req_[by_id_.at(schedule_[i].request_id)].chain.push_back(i);
+  }
+  for (std::size_t i = 0; i < reqs_.size(); ++i) {
+    peak_bytes_[i] = batch_.peak_kv_bytes(reqs_[i], pass_cfg_.num_layers);
+  }
+
+  // With sharing on, requests in a prefix group pin their common leading
+  // blocks once.
   const bool share = pass_cfg_.serving.kv_share;
-  const bool paged = pass_cfg_.serving.paged();
-  std::optional<KvBlockPool> pool;
   bool any_group = false;
-  if (share || paged) {
+  if (share || paged_) {
     KvBlockPoolConfig pool_cfg;
     pool_cfg.block_bytes = pass_cfg_.serving.kv_block_bytes != 0
                                ? pass_cfg_.serving.kv_block_bytes
                                : kLineBytes;
     pool_cfg.refetch_cost = pass_cfg_.serving.refetch_cost;
-    std::vector<KvBlockPool::RequestLayout> layouts(reqs.size());
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      layouts[i].footprint_bytes = peak_bytes[i];
-      if (share && reqs[i].prefix_group != kNoPrefixGroup) {
-        layouts[i].prefix_group = reqs[i].prefix_group;
+    std::vector<KvBlockPool::RequestLayout> layouts(reqs_.size());
+    for (std::size_t i = 0; i < reqs_.size(); ++i) {
+      layouts[i].footprint_bytes = peak_bytes_[i];
+      if (share && reqs_[i].prefix_group != kNoPrefixGroup) {
+        layouts[i].prefix_group = reqs_[i].prefix_group;
         layouts[i].prefix_bytes =
-            batch_.prefix_kv_bytes(reqs[i], pass_cfg_.num_layers);
+            batch_.prefix_kv_bytes(reqs_[i], pass_cfg_.num_layers);
         any_group = true;
       }
     }
-    pool.emplace(pool_cfg, std::move(layouts));
+    pool_.emplace(pool_cfg, std::move(layouts));
   }
-  out.paged = paged;
-  out.shared = share;
-  // In-engine ledger auditor (invariants.hpp): every serving event below
-  // reports itself so a KV-conservation break throws on the cycle it
-  // happens. Off by default - it adds no stats and changes no behavior.
-  // When any request actually shares a prefix the auditor replays the
-  // block-level lifecycle through its own shadow map (shared-byte
-  // conservation); otherwise the legacy per-request shadow ledger applies.
-  std::optional<ServingAuditor> auditor;
-  const char* audit_env = std::getenv("LLAMCAT_AUDIT");
-  if (pass_cfg_.audit || (audit_env != nullptr && *audit_env != '\0' &&
-                          *audit_env != '0')) {
-    if (any_group) {
-      ServingAuditor::SharedLayout layout;
-      layout.block_bytes = pool->config().block_bytes;
-      layout.paged = paged;
-      layout.groups.resize(reqs.size(), kNoPrefixGroup);
-      layout.prefix_bytes.resize(reqs.size(), 0);
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (reqs[i].prefix_group != kNoPrefixGroup) {
-          layout.groups[i] = reqs[i].prefix_group;
-          layout.prefix_bytes[i] =
-              batch_.prefix_kv_bytes(reqs[i], pass_cfg_.num_layers);
-        }
-      }
-      auditor.emplace(pass_cfg_.serving.kv_budget_bytes, peak_bytes,
-                      std::move(layout));
-    } else {
-      auditor.emplace(pass_cfg_.serving.kv_budget_bytes, peak_bytes,
-                      pool ? pool->config().block_bytes : 0);
-    }
-  }
+  out_.paged = paged_;
+  out_.shared = share;
 
-  // Remaining service-demand estimate: remaining chain operators weighted
-  // by the request's peak KV tokens (longer contexts mean longer operators).
-  const auto remaining_work = [&](std::size_t i) -> std::uint64_t {
-    return (chains[i].size() - st[i].cursor) * batch_.peak_kv_tokens(reqs[i]);
-  };
-  // Bytes an admission of request i would newly pin: its effective
-  // (dedup-aware) footprint on first admission - the full peak unless a
-  // prefix peer already charged shared blocks - the swapped-out share on a
-  // paged resume, 0 for a resident (non-evicted) preempted request. Pool
-  // estimates are conservative upper bounds: between this sweep's estimate
-  // and the actual admission, shared blocks can only get cheaper (a peer
-  // admitted first), so the budget gate never over-admits.
-  const auto admit_bytes = [&](std::size_t i) -> std::uint64_t {
-    if (!st[i].admitted_ever) {
-      return pool ? pool->admit_cost(i) : peak_bytes[i];
+  // The auditor is off by default - it adds no stats and changes no
+  // behavior. When any request actually shares a prefix it replays the
+  // block-level lifecycle through its own shadow map (shared-byte
+  // conservation); otherwise the per-request shadow ledger applies.
+  const char* audit_env = std::getenv("LLAMCAT_AUDIT");
+  if (!pass_cfg_.audit && (audit_env == nullptr || *audit_env == '\0' ||
+                           *audit_env == '0')) {
+    return;
+  }
+  if (any_group) {
+    ServingAuditor::SharedLayout layout;
+    layout.block_bytes = pool_->config().block_bytes;
+    layout.paged = paged_;
+    layout.groups.resize(reqs_.size(), kNoPrefixGroup);
+    layout.prefix_bytes.resize(reqs_.size(), 0);
+    for (std::size_t i = 0; i < reqs_.size(); ++i) {
+      if (reqs_[i].prefix_group != kNoPrefixGroup) {
+        layout.groups[i] = reqs_[i].prefix_group;
+        layout.prefix_bytes[i] =
+            batch_.prefix_kv_bytes(reqs_[i], pass_cfg_.num_layers);
+      }
     }
-    return (pool && paged) ? pool->resume_cost(i) : 0;
-  };
-  const auto queued_candidates = [&] {
-    std::vector<AdmissionPolicy::Candidate> q;
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (!st[i].queued) continue;
-      q.push_back({i, reqs[i].arrival_cycle, remaining_work(i),
+    auditor_.emplace(pass_cfg_.serving.kv_budget_bytes, peak_bytes_,
+                     std::move(layout));
+  } else {
+    auditor_.emplace(pass_cfg_.serving.kv_budget_bytes, peak_bytes_,
+                     pool_ ? pool_->config().block_bytes : 0);
+  }
+}
+
+bool ServingEngine::running(std::size_t i) const {
+  const Phase p = req_[i].phase;
+  return p == Phase::kRefetching || p == Phase::kReady ||
+         p == Phase::kInFlight;
+}
+
+std::size_t ServingEngine::num_running() const {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < req_.size(); ++i) n += running(i) ? 1 : 0;
+  return n;
+}
+
+std::uint64_t ServingEngine::remaining_work(std::size_t i) const {
+  return (req_[i].chain.size() - req_[i].cursor) *
+         batch_.peak_kv_tokens(reqs_[i]);
+}
+
+// Bytes an admission of request i would newly pin: its effective
+// (dedup-aware) footprint on first admission - the full peak unless a
+// prefix peer already charged shared blocks - the swapped-out share on a
+// paged resume, 0 for a resident (non-evicted) preempted request. Pool
+// estimates are conservative upper bounds: between a sweep's estimate and
+// the admission, shared blocks can only get cheaper (a peer admitted
+// first), so the budget gate never over-admits.
+std::uint64_t ServingEngine::admit_bytes(std::size_t i) const {
+  if (!req_[i].admitted_ever) {
+    return pool_ ? pool_->admit_cost(i) : peak_bytes_[i];
+  }
+  return (pool_ && paged_) ? pool_->resume_cost(i) : 0;
+}
+
+// A running request's demand adds one operator's worth for the one in
+// flight (the cursor already advanced past it): a request mid-way through
+// its last operator still holds the machine for that operator's length, so
+// yield checks must not read it as "zero remaining" and preempt a genuinely
+// shorter neighbor in its favor.
+std::vector<std::uint64_t> ServingEngine::running_work(
+    std::size_t except) const {
+  std::vector<std::uint64_t> w;
+  for (std::size_t j = 0; j < req_.size(); ++j) {
+    if (j != except && running(j)) {
+      w.push_back(remaining_work(j) + batch_.peak_kv_tokens(reqs_[j]));
+    }
+  }
+  return w;
+}
+
+// Paged mode: remaining work of the queued candidates the free budget
+// cannot hold. They exert preemption pressure (should_preempt's
+// blocked_work) - evicting a much-longer runner's cold blocks is what
+// unblocks them - but only on a victim whose eviction would actually free
+// bytes: with no evictable whole block (block larger than the footprint, or
+// everything already out) the preemption would be pure churn.
+std::vector<std::uint64_t> ServingEngine::eviction_pressure_on(
+    std::size_t i) const {
+  std::vector<std::uint64_t> w;
+  if (!paged_ || pool_->releasable_blocks(i) == 0) return w;
+  const std::uint64_t budget = pass_cfg_.serving.kv_budget_bytes;
+  for (std::size_t j = 0; j < req_.size(); ++j) {
+    if (req_[j].phase == Phase::kQueued &&
+        resident_bytes_ + admit_bytes(j) > budget) {
+      w.push_back(remaining_work(j));
+    }
+  }
+  return w;
+}
+
+Cycle ServingEngine::next_landmark(Cycle after) const {
+  Cycle next = kNeverCycle;
+  for (std::size_t i = 0; i < req_.size(); ++i) {
+    if (req_[i].phase == Phase::kPending && reqs_[i].arrival_cycle > after) {
+      next = std::min(next, reqs_[i].arrival_cycle);
+    }
+    if (req_[i].phase == Phase::kRefetching && req_[i].refetch_ready > after) {
+      next = std::min(next, req_[i].refetch_ready);
+    }
+  }
+  return next;
+}
+
+// Arrivals whose clock has struck enter the serving queue.
+bool ServingEngine::on_arrivals(Cycle now) {
+  bool any = false;
+  for (std::size_t i = 0; i < req_.size(); ++i) {
+    if (req_[i].phase == Phase::kPending && reqs_[i].arrival_cycle <= now) {
+      req_[i].phase = Phase::kQueued;
+      req_[i].queue_enter = now;
+      any = true;
+    }
+  }
+  return any;
+}
+
+// The policy picks admissions from the queue; a pick whose KV is resident
+// enqueues its next operator at once, a paged resume waits out its refetch
+// (enqueue_ready releases it when due). Returns the number admitted.
+std::size_t ServingEngine::admit_sweep(Cycle now) {
+  std::vector<AdmissionPolicy::Candidate> q;
+  for (std::size_t i = 0; i < req_.size(); ++i) {
+    if (req_[i].phase == Phase::kQueued) {
+      q.push_back({i, reqs_[i].arrival_cycle, remaining_work(i),
                    admit_bytes(i)});
     }
-    return q;
-  };
-  // Paged mode: remaining work of queued candidates the free budget cannot
-  // hold. They exert preemption pressure (should_preempt's blocked_work) -
-  // evicting a much-longer runner's cold blocks is what unblocks them.
-  const auto blocked_work = [&]() -> std::vector<std::uint64_t> {
-    std::vector<std::uint64_t> w;
-    if (!paged) return w;
-    const std::uint64_t budget = pass_cfg_.serving.kv_budget_bytes;
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (st[i].queued && resident_bytes + admit_bytes(i) > budget) {
-        w.push_back(remaining_work(i));
-      }
-    }
-    return w;
-  };
-  // Blocked candidates only pressure victim i when evicting it would
-  // actually free bytes: with no evictable whole block (block size larger
-  // than the footprint, or everything already out) the preemption would be
-  // pure churn - the blocked candidate stays blocked and the victim just
-  // lost its stage boundary.
-  const auto eviction_pressure_on =
-      [&](std::size_t i) -> std::vector<std::uint64_t> {
-    if (!paged || pool->releasable_blocks(i) == 0) return {};
-    return blocked_work();
-  };
-  // A running request's demand adds one operator's worth for the one in
-  // flight (the cursor already advanced past it): a request mid-way through
-  // its last operator still holds the machine for that operator's length,
-  // so yield checks must not read it as "zero remaining" and preempt a
-  // genuinely shorter neighbor in its favor.
-  const auto running_work = [&](std::size_t except) {
-    std::vector<std::uint64_t> w;
-    for (std::size_t j = 0; j < reqs.size(); ++j) {
-      if (j != except && st[j].running) {
-        w.push_back(remaining_work(j) + batch_.peak_kv_tokens(reqs[j]));
-      }
-    }
-    return w;
-  };
-  const std::size_t kNobody = reqs.size();
-  const auto enter_queue = [&](std::size_t i, Cycle now) {
-    st[i].queued = true;
-    st[i].queue_enter = now;
-  };
-  // Bookkeeping of one admission (the caller enqueues the operator):
-  // first admissions pin the request's peak KV against the budget and stamp
-  // the admit landmark; every admission closes out a queue-wait interval.
-  // A paged resume re-pins its swapped blocks and is marked
-  // awaiting_refetch: it is running (it holds its budget share again) but
-  // its next operator stays out of the machine until `refetch_ready`.
-  const auto admit_mark = [&](std::size_t i, Cycle now) {
-    st[i].queued = false;
-    st[i].running = true;
-    out.per_request[i].queued_cycles += now - st[i].queue_enter;
-    // Charges and refetch prices route through the pool when it exists
-    // (refetches can now happen at FIRST admissions too: a prefix peer may
-    // have released a shared block to the host tier, and reusing it pays
-    // the link transfer like any paged resume).
-    if (!st[i].admitted_ever) {
-      st[i].admitted_ever = true;
-      out.per_request[i].admit_cycle = now;
-      if (pool) {
-        const KvBlockPool::Admission a = pool->admit(i);
-        resident_bytes += a.charged_bytes;
-        out.per_request[i].prefix_hit_blocks += a.hit_blocks;
-        out.per_request[i].prefix_hit_bytes += a.hit_bytes;
-        if (a.refetch_blocks != 0) {
-          out.per_request[i].refetch_bytes += a.refetch_bytes;
-          out.per_request[i].refetch_cycles += a.refetch_cycles;
-          st[i].awaiting_refetch = true;
-          st[i].refetch_ready = now + a.refetch_cycles;
-        }
-      } else {
-        resident_bytes += peak_bytes[i];
-      }
-      if (auditor) auditor->on_admit(i, now, resident_bytes);
+  }
+  if (q.empty()) return 0;
+  std::vector<std::size_t> picks =
+      policy_.select(std::move(q), running_work(req_.size()), resident_bytes_);
+  std::sort(picks.begin(), picks.end());
+  for (const std::size_t i : picks) {
+    admit(i, now);
+    if (req_[i].phase == Phase::kReady) enqueue(i);
+  }
+  return picks.size();
+}
+
+// First admissions pin the request's (deduped) peak KV against the budget
+// and stamp the admit landmark; a resume re-pins its swapped blocks. Either
+// may refetch host-tier blocks (a prefix peer may have released a shared
+// block to the host tier), which holds the request in kRefetching. Every
+// admission closes out a queue-wait interval.
+void ServingEngine::admit(std::size_t i, Cycle now) {
+  Request& r = req_[i];
+  RequestStats& rs = out_.per_request[i];
+  rs.queued_cycles += now - r.queue_enter;
+  KvBlockPool::Admission a;
+  if (!r.admitted_ever) {
+    r.admitted_ever = true;
+    rs.admit_cycle = now;
+    if (pool_) {
+      a = pool_->admit(i);
+      rs.prefix_hit_blocks += a.hit_blocks;
+      rs.prefix_hit_bytes += a.hit_bytes;
     } else {
-      std::uint64_t refetched = 0;
-      if (pool && paged) {
-        const KvBlockPool::Admission a = pool->resume(i);
-        refetched = a.charged_bytes;
-        resident_bytes += a.charged_bytes;
-        if (a.refetch_blocks != 0) {
-          out.per_request[i].refetch_bytes += a.refetch_bytes;
-          out.per_request[i].refetch_cycles += a.refetch_cycles;
-          st[i].awaiting_refetch = true;
-          st[i].refetch_ready = now + a.refetch_cycles;
+      a.charged_bytes = peak_bytes_[i];
+    }
+    resident_bytes_ += a.charged_bytes;
+    if (auditor_) auditor_->on_admit(i, now, resident_bytes_);
+  } else {
+    if (pool_ && paged_) a = pool_->resume(i);
+    resident_bytes_ += a.charged_bytes;
+    if (auditor_) {
+      auditor_->on_resume(i, a.charged_bytes, now, resident_bytes_);
+    }
+  }
+  r.phase = Phase::kReady;
+  if (a.refetch_blocks != 0) {
+    rs.refetch_bytes += a.refetch_bytes;
+    rs.refetch_cycles += a.refetch_cycles;
+    r.phase = Phase::kRefetching;
+    r.refetch_ready = now + a.refetch_cycles;
+  }
+}
+
+// Ready requests, and refetching ones whose hold has expired, enter the
+// machine in request-index order.
+void ServingEngine::enqueue_ready(Cycle now) {
+  for (std::size_t i = 0; i < req_.size(); ++i) {
+    Request& r = req_[i];
+    if (r.phase == Phase::kRefetching && r.refetch_ready <= now) {
+      r.phase = Phase::kReady;
+    }
+    if (r.phase == Phase::kReady) enqueue(i);
+  }
+}
+
+void ServingEngine::enqueue(std::size_t i) {
+  ++req_[i].cursor;
+  req_[i].phase = Phase::kInFlight;
+  touched_.push_back(i);
+}
+
+// Stages the operators enqueued since the last commit in request-index
+// order (the policy decides WHO starts; index order keeps the TB fuse order
+// identical to the raw engine's under kNone), appends their thread blocks
+// to the live source and - once the segment's System exists - publishes
+// them to it. Returns the number of operators committed.
+std::size_t ServingEngine::commit(System* sys) {
+  if (touched_.empty()) return 0;
+  std::sort(touched_.begin(), touched_.end());
+  for (const std::size_t i : touched_) {
+    const ScheduledOp& op = schedule_[req_[i].chain[req_[i].cursor - 1]];
+    src_->add(op.request_id, op.workload.op, op.workload.mapping);
+  }
+  src_->commit(pass_cfg_.interleave);
+  if (sys != nullptr) sys->inject_work();
+  for (const std::size_t i : touched_) {
+    req_[i].seg_enq = src_->tbs_of_request(reqs_[i].id);
+  }
+  const std::size_t n = touched_.size();
+  touched_.clear();
+  return n;
+}
+
+// The in-flight operator (at cursor-1) completed. If it closes a decode
+// step, stamp the step-finish landmark (the TBT clock) now, before the
+// caller's advance/preempt/finish decision: a preempted request's completed
+// operator still ended its step at this cycle.
+void ServingEngine::op_complete(std::size_t i, Cycle now) {
+  Request& r = req_[i];
+  const ScheduledOp& done = schedule_[r.chain[r.cursor - 1]];
+  if (r.cursor == r.chain.size() ||
+      schedule_[r.chain[r.cursor]].step != done.step) {
+    out_.per_request[i].step_finish_cycles.push_back(now);
+  }
+  r.phase = Phase::kReady;
+}
+
+// The request leaves the machine and re-enters the serving queue; in paged
+// mode its cold blocks swap out, freeing budget bytes. Refcounted eviction:
+// only blocks whose last pinner this was swap out - a shared block a peer
+// still runs against stays resident and charged, so `freed` can be less
+// than the whole-block footprint.
+void ServingEngine::preempt(std::size_t i, Cycle now) {
+  req_[i].phase = Phase::kQueued;
+  req_[i].queue_enter = now;
+  ++out_.per_request[i].preemptions;
+  std::uint64_t freed = 0;
+  if (pool_ && paged_) {
+    freed = pool_->release(i);
+    resident_bytes_ -= freed;
+    out_.per_request[i].swapped_blocks += freed / pool_->config().block_bytes;
+  }
+  if (auditor_) auditor_->on_evict(i, freed, now, resident_bytes_);
+}
+
+// A finish unrefs instead of freeing: shared blocks a peer still holds stay
+// resident and charged, so the pool's freed bytes can be less than the peak
+// footprint.
+void ServingEngine::finish(std::size_t i, Cycle now) {
+  req_[i].phase = Phase::kFinished;
+  out_.per_request[i].finish_cycle = now;
+  resident_bytes_ -= pool_ ? pool_->finish(i) : peak_bytes_[i];
+  if (auditor_) auditor_->on_finish(i, now, resident_bytes_);
+  src_->retire_request(reqs_[i].id);
+}
+
+// Assembles the segment start at base_ and commits it; returns the number
+// of operators it starts with. Outside paged mode one pass always enqueues
+// something; with paging the pass can come up empty (every resident request
+// mid-refetch), in which case the stream clock hops to the next landmark - a
+// refetch completion or an arrival - and retries.
+std::size_t ServingEngine::start_segment() {
+  for (;;) {
+    on_arrivals(base_);
+    // Drain-boundary eviction sweep (paged mode): a carried-over request
+    // yields its stage boundary - and its cold blocks' budget bytes - to
+    // much-shorter pressure before re-enqueueing. This is where a LONE long
+    // request is evicted in favor of a budget-blocked short arrival
+    // (mid-flight stage boundaries take the hook's preemption path; a lone
+    // request's boundary IS the drain).
+    if (paged_ && policy_.config().preempt) {
+      for (std::size_t i = 0; i < req_.size(); ++i) {
+        if (req_[i].phase == Phase::kReady &&
+            policy_.should_preempt(remaining_work(i), running_work(i),
+                                   eviction_pressure_on(i))) {
+          preempt(i, base_);
         }
       }
-      if (auditor) auditor->on_resume(i, refetched, now, resident_bytes);
     }
-  };
-  // Whether request i's next operator may enter the machine at `now`
-  // (clears the refetch hold the moment it expires). Trivially true
-  // outside paged mode.
-  const auto ready_to_enqueue = [&](std::size_t i, Cycle now) {
-    if (st[i].awaiting_refetch) {
-      if (st[i].refetch_ready > now) return false;
-      st[i].awaiting_refetch = false;
+    // Nothing running and nothing admitted: the queue is empty (the policy
+    // guarantees progress on an idle machine), so the machine idles until
+    // the next arrival - skip the dead cycles but keep them on the stream
+    // clock. Unfinished requests imply a pending arrival exists.
+    if (admit_sweep(base_) == 0 && num_running() == 0) {
+      base_ = next_landmark(base_);
+      on_arrivals(base_);
+      admit_sweep(base_);
     }
-    return true;
-  };
-  // Preemption bookkeeping shared by the drain-boundary and mid-flight
-  // paths: the request leaves the machine, re-enters the serving queue,
-  // and - in paged mode - its cold blocks swap out, freeing budget bytes.
-  const auto preempt_mark = [&](std::size_t i, Cycle now) {
-    st[i].running = false;
-    enter_queue(i, now);
-    ++out.per_request[i].preemptions;
-    std::uint64_t freed = 0;
-    if (pool && paged) {
-      // Refcounted eviction: only blocks whose last pinner this was swap
-      // out - a shared block a peer still runs against stays resident and
-      // charged, so `freed` can be less than the whole-block footprint.
-      freed = pool->release(i);
-      resident_bytes -= freed;
-      out.per_request[i].swapped_blocks += freed / pool->config().block_bytes;
-    }
-    if (auditor) auditor->on_evict(i, freed, now, resident_bytes);
-  };
+    // Requests continuing from the previous segment join this sweep's
+    // admissions.
+    enqueue_ready(base_);
+    if (!touched_.empty()) return commit(nullptr);
+    // Nothing entered the machine: everyone resident is paying a refetch
+    // (the machine idles on the host link).
+    base_ = next_landmark(base_);
+  }
+}
 
-  // The stream is simulated as a chain of System segments sharing one
-  // timeline (`base` = stream cycle where the current segment starts).
-  // While two or more requests overlap, one segment hosts them all: the
-  // admission hook enqueues a request's next operator the moment its
-  // previous one completes and admits arrivals mid-flight, so the machine
-  // never drains and the whole overlap runs in one long-lived System. A
-  // request *alone* in the machine instead hands off at the drain boundary:
-  // the segment ends and its next operator starts in a fresh System -
-  // exactly a one-request co-scheduled wave, which is what makes the
-  // zero-arrival batch-of-one reproduce kCoScheduled bit for bit.
-  Cycle base = 0;
+void ServingEngine::on_hook(System& sys, Cycle now) {
+  const Cycle global = base_ + now;
+  // 1) Arrivals enter the serving queue mid-flight; the policy admits
+  // whoever fits into the live machine (all of them under kNone).
+  if (on_arrivals(global)) admit_sweep(global);
+  commit(&sys);
+  // 2) Requests whose refetch transfer just completed (paged resumes, or
+  // first admissions that refetched a peer-released shared block) enter
+  // the machine.
+  enqueue_ready(global);
+  commit(&sys);
+  // 3) Stage handoff. A request whose in-flight operator completed advances
+  // (or finishes) eagerly as long as it has company - any other running
+  // request keeps the machine live, so the stream never drains
+  // (simultaneous completions included: the tied requests advance together
+  // rather than forcing a barrier). A request alone in the machine hands
+  // off at the drain boundary instead (see run()). With preemption enabled,
+  // a request due to advance instead yields its stage boundary to a
+  // much-shorter co-running request.
+  if (num_running() >= 2) {
+    bool freed = false;
+    for (std::size_t i = 0; i < req_.size(); ++i) {
+      Request& r = req_[i];
+      if (r.phase != Phase::kInFlight) continue;
+      if (r.dense == kNoRequest) {
+        r.dense = sys.scheduler().dense_index_of(reqs_[i].id);
+        if (r.dense == kNoRequest) continue;
+      }
+      if (sys.scheduler().completed_of(r.dense) != r.seg_enq) continue;
+      op_complete(i, global);
+      if (r.cursor == r.chain.size()) {
+        finish(i, global);
+        freed = true;
+      } else if (policy_.config().preempt &&
+                 policy_.should_preempt(remaining_work(i), running_work(i),
+                                        eviction_pressure_on(i))) {
+        preempt(i, global);
+        freed = true;
+      } else {
+        enqueue(i);
+      }
+    }
+    commit(&sys);
+    // 4) A finish freed budget (or a preemption freed the machine):
+    // someone in the queue may be admittable now.
+    if (freed) {
+      admit_sweep(global);
+      commit(&sys);
+    }
+  }
+  const Cycle next = next_landmark(global);
+  sys.set_wake_hint(next == kNeverCycle ? kNeverCycle : next - base_);
+}
+
+BatchStats ServingEngine::run(bool verbose) {
   std::size_t seg_id = 0;
-
-  const auto unfinished = [&] {
-    for (const ReqState& s : st) {
-      if (!s.finished) return true;
-    }
-    return false;
+  const auto unfinished = [this] {
+    return std::any_of(req_.begin(), req_.end(), [](const Request& r) {
+      return r.phase != Phase::kFinished;
+    });
   };
-
   while (unfinished()) {
-    // Move arrivals whose clock has struck into the serving queue, then let
-    // the policy pick admissions. If nothing is running and nothing was
-    // admitted, the queue must be empty (the policy guarantees progress on
-    // an idle machine) - the machine idles until the next arrival, so skip
-    // the dead cycles but keep them on the stream clock.
-    const auto notice_arrivals = [&] {
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (!st[i].queued && !st[i].running && !st[i].admitted_ever &&
-            !st[i].finished && reqs[i].arrival_cycle <= base) {
-          enter_queue(i, base);
-        }
-      }
-    };
-    const auto any_running = [&] {
-      for (const ReqState& s : st) {
-        if (s.running) return true;
-      }
-      return false;
-    };
-
-    DynamicTbSource src;
-    const auto enqueue_next = [&](std::size_t i) {
-      const ScheduledOp& op = schedule_[chains[i][st[i].cursor]];
-      src.add(op.request_id, op.workload.op, op.workload.mapping);
-      ++st[i].cursor;
-    };
-    // Segment-local caches, refreshed only when work is committed: each
-    // request's committed TB count and its dense scheduler index (the hook
-    // runs every cycle, so the steady-state check must be plain array
-    // reads, not hash lookups).
-    std::vector<std::uint64_t> seg_enq(reqs.size(), 0);
-    std::vector<std::uint32_t> dense(reqs.size(), kNoRequest);
-
-    // Assemble the segment start. Outside paged mode one pass always
-    // enqueues something; with paging the pass can come up empty (every
-    // resident request mid-refetch), in which case the stream clock hops to
-    // the next event - a refetch completion or an arrival - and retries.
-    std::size_t started = 0;
-    for (;;) {
-      notice_arrivals();
-      // Drain-boundary eviction sweep (paged mode): a carried-over running
-      // request yields its stage boundary - and its cold blocks' budget
-      // bytes - to much-shorter pressure before re-enqueueing. This is
-      // where a LONE long request is evicted in favor of a budget-blocked
-      // short arrival (mid-flight stage boundaries take the hook's
-      // preemption path instead; a lone request's boundary IS the drain).
-      if (paged && policy.config().preempt) {
-        for (std::size_t i = 0; i < reqs.size(); ++i) {
-          if (!st[i].running || st[i].finished || st[i].awaiting_refetch) {
-            continue;
-          }
-          if (policy.should_preempt(remaining_work(i), running_work(i),
-                                    eviction_pressure_on(i))) {
-            preempt_mark(i, base);
-          }
-        }
-      }
-      std::vector<std::size_t> selected =
-          policy.select(queued_candidates(), running_work(kNobody),
-                        resident_bytes);
-      if (selected.empty() && !any_running()) {
-        Cycle next_arrival = kNeverCycle;
-        for (std::size_t i = 0; i < reqs.size(); ++i) {
-          if (!st[i].finished && !st[i].admitted_ever && !st[i].queued) {
-            next_arrival = std::min(next_arrival, reqs[i].arrival_cycle);
-          }
-        }
-        base = next_arrival;  // unfinished implies a pending arrival exists
-        notice_arrivals();
-        selected = policy.select(queued_candidates(), running_work(kNobody),
-                                 resident_bytes);
-      }
-
-      // Requests continuing from the previous segment plus this sweep's
-      // admissions start the segment, enqueued in request-index order (the
-      // policy decides WHO starts; index order keeps the TB fuse order
-      // identical to the raw engine's under kNone).
-      std::sort(selected.begin(), selected.end());
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (std::binary_search(selected.begin(), selected.end(), i)) {
-          admit_mark(i, base);
-        }
-        if (st[i].running && !st[i].finished && ready_to_enqueue(i, base)) {
-          enqueue_next(i);
-          ++started;
-        }
-      }
-      if (started > 0) break;
-      // Nothing entered the machine: everyone resident is paying a refetch
-      // (the machine idles on the host link). Hop to the earliest refetch
-      // completion or not-yet-noticed arrival; both are strictly > base,
-      // and one must exist while started == 0, so this terminates.
-      Cycle hop = kNeverCycle;
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (st[i].running && st[i].awaiting_refetch) {
-          hop = std::min(hop, st[i].refetch_ready);
-        }
-        if (!st[i].finished && !st[i].admitted_ever && !st[i].queued) {
-          hop = std::min(hop, reqs[i].arrival_cycle);
-        }
-      }
-      base = hop;
-    }
-    src.commit(pass_cfg_.interleave);
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (st[i].running) seg_enq[i] = src.tbs_of_request(reqs[i].id);
-    }
-    System sys(cfg_, src, &src);
+    src_.emplace();
+    for (Request& r : req_) r.dense = kNoRequest;
+    const std::size_t started = start_segment();
+    System sys(cfg_, *src_, &*src_);
     if (verbose) {
-      std::cerr << "[continuous] segment " << seg_id << " @" << base << ": "
+      std::cerr << "[continuous] segment " << seg_id << " @" << base_ << ": "
                 << started << " request(s)\n";
     }
-
-    const auto hook = [&](System& s, Cycle now) {
-      const Cycle global = base + now;
-      // Skip-ahead contract: every exit path publishes the earliest future
-      // landmark this hook can act on its own - an unarrived request's
-      // arrival clock or a pending refetch completion. Until then every
-      // elided invocation is a no-op (completions always surface through
-      // busy machine cycles, which forbid skipping by themselves), so the
-      // System may jump straight to the landmark.
-      const auto publish_hint = [&] {
-        Cycle next = kNeverCycle;
-        for (std::size_t i = 0; i < reqs.size(); ++i) {
-          if (!st[i].queued && !st[i].running && !st[i].admitted_ever &&
-              !st[i].finished && reqs[i].arrival_cycle > global) {
-            next = std::min(next, reqs[i].arrival_cycle);
-          }
-          if (st[i].running && !st[i].finished && st[i].awaiting_refetch &&
-              st[i].refetch_ready > global) {
-            next = std::min(next, st[i].refetch_ready);
-          }
-        }
-        s.set_wake_hint(next == kNeverCycle ? kNeverCycle : next - base);
-      };
-      const auto commit_and_refresh = [&](const std::vector<std::size_t>& is) {
-        src.commit(pass_cfg_.interleave);
-        s.inject_work();
-        for (const std::size_t i : is) {
-          seg_enq[i] = src.tbs_of_request(reqs[i].id);
-        }
-      };
-      std::vector<std::size_t> touched;
-      const auto admit_sweep = [&] {
-        const std::vector<AdmissionPolicy::Candidate> q = queued_candidates();
-        if (q.empty()) return;
-        std::vector<std::size_t> picks =
-            policy.select(q, running_work(kNobody), resident_bytes);
-        std::sort(picks.begin(), picks.end());
-        for (const std::size_t i : picks) {
-          admit_mark(i, global);
-          // A paged resume is admitted (budget re-pinned) but its operator
-          // waits out the refetch; step 1.5 below enqueues it when due.
-          if (ready_to_enqueue(i, global)) {
-            enqueue_next(i);
-            touched.push_back(i);
-          }
-        }
-      };
-      // 1) Arrivals enter the serving queue mid-flight; the policy admits
-      // whoever fits into the live machine (all of them under kNone).
-      bool swept = false;
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (!st[i].queued && !st[i].running && !st[i].admitted_ever &&
-            !st[i].finished && reqs[i].arrival_cycle <= global) {
-          enter_queue(i, global);
-          swept = true;
-        }
-      }
-      if (swept) admit_sweep();
-      if (!touched.empty()) commit_and_refresh(touched);
-      // 1.5) Requests whose refetch transfer just completed (paged resumes,
-      // or first admissions that refetched a peer-released shared block)
-      // enter the machine.
-      if (pool) {
-        touched.clear();
-        for (std::size_t i = 0; i < reqs.size(); ++i) {
-          if (st[i].running && !st[i].finished && st[i].awaiting_refetch &&
-              ready_to_enqueue(i, global)) {
-            enqueue_next(i);
-            touched.push_back(i);
-          }
-        }
-        if (!touched.empty()) commit_and_refresh(touched);
-      }
-      // 2) Stage handoff. A request whose current operator just completed
-      // advances (or finishes) eagerly as long as it has company - any
-      // other running request keeps the machine live, so the stream never
-      // drains (simultaneous completions included: the tied requests
-      // advance together rather than forcing a barrier). A request *alone*
-      // in the machine instead hands off at the drain boundary: the
-      // segment ends and its next operator starts in a fresh System,
-      // exactly like a one-request wave. With preemption enabled, a
-      // request due to advance instead yields its stage boundary to a
-      // much-shorter co-running request: it re-enters the serving queue
-      // with its KV (and budget share) intact.
-      std::size_t live = 0;
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (st[i].running && !st[i].finished) ++live;
-      }
-      if (live < 2) {
-        publish_hint();
-        return;
-      }
-      const auto seg_completed = [&](std::size_t i) -> std::uint64_t {
-        if (dense[i] == kNoRequest) {
-          dense[i] = s.scheduler().dense_index_of(reqs[i].id);
-          if (dense[i] == kNoRequest) return 0;
-        }
-        return s.scheduler().completed_of(dense[i]);
-      };
-      touched.clear();
-      bool freed = false;
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (!st[i].running || st[i].finished) continue;
-        if (seg_enq[i] == 0 || seg_completed(i) != seg_enq[i]) continue;
-        // The op at cursor-1 just completed. If it closes a decode step,
-        // stamp the step-finish landmark (the TBT clock) now, BEFORE the
-        // advance/preempt/finish decision: a preempted request's completed
-        // operator still ended its step at this cycle.
-        {
-          const ScheduledOp& done = schedule_[chains[i][st[i].cursor - 1]];
-          if (st[i].cursor == chains[i].size() ||
-              schedule_[chains[i][st[i].cursor]].step != done.step) {
-            out.per_request[i].step_finish_cycles.push_back(global);
-          }
-        }
-        if (st[i].cursor < chains[i].size()) {
-          if (policy.config().preempt &&
-              policy.should_preempt(remaining_work(i), running_work(i),
-                                    eviction_pressure_on(i))) {
-            preempt_mark(i, global);
-            freed = true;
-          } else {
-            enqueue_next(i);
-            touched.push_back(i);
-          }
-        } else {
-          st[i].finished = true;
-          st[i].running = false;
-          out.per_request[i].finish_cycle = global;
-          // A finish unrefs instead of freeing: shared blocks a peer still
-          // holds stay resident and charged, so the pool's freed bytes can
-          // be less than the peak footprint.
-          resident_bytes -= pool ? pool->finish(i) : peak_bytes[i];
-          if (auditor) auditor->on_finish(i, global, resident_bytes);
-          src.retire_request(reqs[i].id);
-          freed = true;
-        }
-      }
-      if (!touched.empty()) commit_and_refresh(touched);
-      // 3) A finish freed budget (or a preemption freed the machine):
-      // someone in the queue may be admittable now.
-      if (freed) {
-        touched.clear();
-        admit_sweep();
-        if (!touched.empty()) commit_and_refresh(touched);
-      }
-      publish_hint();
-    };
-
     // lint:allow(wallclock): verbose-mode segment wall timing; never feeds sim state
     const auto t0 = std::chrono::steady_clock::now();
-    SimStats seg = sys.run(hook);
+    SimStats seg =
+        sys.run([this](System& s, Cycle now) { on_hook(s, now); });
     const std::chrono::duration<double> dt =
         // lint:allow(wallclock): verbose-mode segment wall timing; never feeds sim state
         std::chrono::steady_clock::now() - t0;
 
-    // Drain boundary: every op enqueued this segment has completed by now.
-    // A still-running request with segment work (seg_enq != 0) therefore
-    // just completed its op at cursor-1 without the hook seeing it (it was
-    // alone, or the completion coincided with the drain) - if that op
-    // closes a decode step, the step ends at the segment boundary, exactly
-    // where the finish landmark below lands. Requests the hook already
-    // advanced moved their cursor past the recorded op, so nothing is
-    // stamped twice; a request that only waited out a refetch here has
-    // seg_enq == 0 and is skipped.
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (!st[i].running || st[i].finished || seg_enq[i] == 0) continue;
-      const ScheduledOp& done = schedule_[chains[i][st[i].cursor - 1]];
-      if (st[i].cursor == chains[i].size() ||
-          schedule_[chains[i][st[i].cursor]].step != done.step) {
-        out.per_request[i].step_finish_cycles.push_back(base + seg.cycles);
-      }
+    // Drain boundary: every in-flight operator has completed. Its step (if
+    // it closes one) ends at the segment boundary; a request that ran out
+    // of chain finishes here, with the drain included in its latency (its
+    // final stage ends exactly like a one-request wave). Refetching
+    // requests carry over untouched.
+    const Cycle end = base_ + seg.cycles;
+    for (std::size_t i = 0; i < req_.size(); ++i) {
+      if (req_[i].phase != Phase::kInFlight) continue;
+      op_complete(i, end);
+      if (req_[i].cursor == req_[i].chain.size()) finish(i, end);
     }
-    // Requests that ran out of chain with no co-resident work finish here,
-    // with the drain included in their latency (their final stage ends
-    // exactly like a one-request wave).
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (st[i].running && !st[i].finished &&
-          st[i].cursor == chains[i].size()) {
-        st[i].finished = true;
-        st[i].running = false;
-        out.per_request[i].finish_cycle = base + seg.cycles;
-        resident_bytes -= pool ? pool->finish(i) : peak_bytes[i];
-        if (auditor) {
-          auditor->on_finish(i, base + seg.cycles, resident_bytes);
-        }
-      }
-    }
-    shift_slices(seg, base);
+    shift_slices(seg, base_);
     for (const RequestSlice& sl : seg.per_request) {
-      out.per_request[by_id.at(sl.request_id)].slice.accumulate(sl);
+      out_.per_request[by_id_.at(sl.request_id)].slice.accumulate(sl);
     }
-    base += seg.cycles;
-    out.total.accumulate(seg);
-    out.per_op.push_back(ExperimentResult{
-        "seg" + std::to_string(seg_id) + "@" +
-            std::to_string(base - seg.cycles),
+    out_.total.accumulate(seg);
+    out_.per_op.push_back(ExperimentResult{
+        "seg" + std::to_string(seg_id) + "@" + std::to_string(base_),
         std::move(seg), dt.count()});
+    base_ = end;
     ++seg_id;
   }
 
-  if (auditor) auditor->on_pass_end();
-  out.makespan = base;
-  if (out.shared) {
-    out.kv_block_lookups = pool->total_lookups();
-    out.kv_block_hits = pool->total_hits();
-    out.kv_shared_bytes = pool->total_shared_bytes();
-    out.kv_charged_bytes = pool->total_charged_bytes();
-    out.kv_logical_bytes = pool->total_logical_bytes();
+  if (auditor_) auditor_->on_pass_end();
+  out_.makespan = base_;
+  if (out_.shared) {
+    out_.kv_block_lookups = pool_->total_lookups();
+    out_.kv_block_hits = pool_->total_hits();
+    out_.kv_shared_bytes = pool_->total_shared_bytes();
+    out_.kv_charged_bytes = pool_->total_charged_bytes();
+    out_.kv_logical_bytes = pool_->total_logical_bytes();
   }
-  for (RequestStats& rs : out.per_request) {
+  for (RequestStats& rs : out_.per_request) {
     // True per-request latency: finish minus arrival, queueing included.
     rs.stats.cycles = rs.latency();
-    finalize_request_stats(rs, out.total.core_hz);
+    finalize_request_stats(rs, out_.total.core_hz);
     rs.stats.counters.set("req.queue_wait", rs.queued_cycles);
     rs.stats.counters.set("req.preemptions", rs.preemptions);
-    if (out.paged) {
+    if (out_.paged) {
       rs.stats.counters.set("req.swapped_blocks", rs.swapped_blocks);
       rs.stats.counters.set("req.refetch_bytes", rs.refetch_bytes);
       rs.stats.counters.set("req.refetch_cycles", rs.refetch_cycles);
     }
-    if (out.shared) {
+    if (out_.shared) {
       rs.stats.counters.set("req.prefix_hit_blocks", rs.prefix_hit_blocks);
       rs.stats.counters.set("req.prefix_hit_bytes", rs.prefix_hit_bytes);
     }
   }
-  return out;
+  return std::move(out_);
+}
+
+}  // namespace
+
+BatchStats DecodePass::run_continuous(bool verbose) const {
+  return ServingEngine(batch_, pass_cfg_, cfg_, schedule_).run(verbose);
 }
 
 }  // namespace llamcat::scenario

@@ -198,8 +198,7 @@ Cycle System::next_wake(bool has_hook) {
   Cycle wake = kNeverCycle;
 
   // Admission hook: skip at most to the hint its latest invocation
-  // published (elided invocations in between are no-ops by the wake-hint
-  // contract; a hook that never hints leaves wake_hint_ at 0 = no skip).
+  // published (a hook that never hints leaves wake_hint_ at 0 = no skip).
   if (has_hook) {
     if (wake_hint_ <= no_skip) return no_skip;
     wake = std::min(wake, wake_hint_);
@@ -312,11 +311,18 @@ SimStats System::run(const AdmissionHook& admission) {
     const char* e = std::getenv("LLAMCAT_FASTPATH_STATS");
     return e != nullptr && e[0] == '1';
   }();
-  std::uint64_t n_steps = 0, n_windows = 0, n_skipped = 0;
+  std::uint64_t n_steps = 0, n_windows = 0, n_skipped = 0, n_hook_calls = 0;
+  // The hook runs only where it can act (see AdmissionHook): at cycle 0
+  // (wake_hint_ starts at 0), after a thread block completed, or once its
+  // published hint is reached.
+  std::uint64_t hook_seen_completed = 0;
   while (true) {
-    if (admission) {
+    if (admission && (cycle_ >= wake_hint_ ||
+                      scheduler_.completed() != hook_seen_completed)) {
+      hook_seen_completed = scheduler_.completed();
       wake_hint_ = 0;  // hooks must re-publish a hint on every invocation
       admission(*this, cycle_);
+      ++n_hook_calls;
     }
     if (done()) break;
     if (fast_path_ && cycle_ >= retry_at) {
@@ -342,12 +348,13 @@ SimStats System::run(const AdmissionHook& admission) {
   if (fp_stats) {
     std::fprintf(stderr,
                  "[fastpath] cycles=%llu stepped=%llu skipped=%llu "
-                 "windows=%llu avg_window=%.1f\n",
+                 "windows=%llu avg_window=%.1f hook_calls=%llu\n",
                  static_cast<unsigned long long>(cycle_),
                  static_cast<unsigned long long>(n_steps),
                  static_cast<unsigned long long>(n_skipped),
                  static_cast<unsigned long long>(n_windows),
-                 n_windows ? static_cast<double>(n_skipped) / n_windows : 0.0);
+                 n_windows ? static_cast<double>(n_skipped) / n_windows : 0.0,
+                 static_cast<unsigned long long>(n_hook_calls));
   }
   return collect_stats();
 }

@@ -29,13 +29,16 @@ class System : private IFlightObserver {
   System(const SimConfig& cfg, const ITbSource& source,
          const IRequestTagger* tagger = nullptr);
 
-  /// Admission callback for continuous batching: invoked once per cycle
-  /// (first at cycle 0, before any work happens; afterwards at cycle c once
-  /// every event of cycle c has settled). The hook may append work to the
-  /// System's dynamic source and publish it with inject_work(). run()
-  /// returns when the machine is drained and the hook's latest invocation
-  /// admitted nothing - the caller decides whether that is the end of the
-  /// stream or a segment boundary.
+  /// Admission callback for continuous batching. run() invokes it only at
+  /// the events a hook can act on, once every event of the cycle has
+  /// settled: at cycle 0 (before any work happens), on a cycle where a
+  /// thread block completed since the previous invocation, and once the
+  /// wake hint it published (set_wake_hint) is reached. A hook that never
+  /// hints is invoked every cycle. The hook may append work to the System's
+  /// dynamic source and publish it with inject_work(). run() returns when
+  /// the machine is drained and the hook's latest invocation admitted
+  /// nothing - the caller decides whether that is the end of the stream or
+  /// a segment boundary.
   using AdmissionHook = std::function<void(System&, Cycle)>;
 
   /// Runs to completion and returns the collected statistics. With an
@@ -70,11 +73,13 @@ class System : private IFlightObserver {
   [[nodiscard]] bool fast_path() const { return fast_path_; }
 
   /// Admission hooks call this on every invocation to publish the earliest
-  /// future cycle at which they need to act again (their next arrival or
-  /// refetch landmark; kNeverCycle when none is pending). A hook that never
-  /// publishes a hint keeps the hint at 0, which disables skipping entirely
-  /// while that hook drives the run - hooks stay correct by default and
-  /// opt in to skip-ahead by hinting.
+  /// future cycle at which they need to act again other than a thread-block
+  /// completion (their next arrival or refetch landmark; kNeverCycle when
+  /// none is pending). The hook is next invoked at that cycle or at the
+  /// next completion, whichever comes first, and the fast path may skip up
+  /// to it. A hook that never publishes a hint keeps the hint at 0, so it is
+  /// invoked every cycle and disables skipping entirely while it drives the
+  /// run - hooks stay correct by default and opt in to both by hinting.
   void set_wake_hint(Cycle cycle) { wake_hint_ = cycle; }
 
   // Introspection for tests.
@@ -131,8 +136,9 @@ class System : private IFlightObserver {
   std::uint64_t total_c_mem_ = 0;
   std::uint64_t total_c_idle_ = 0;
 
-  // Skip-ahead state. wake_hint_ starts at 0 so a hook that never hints
-  // forbids skipping; it is reset to 0 before every hook invocation.
+  // Hook wake-up and skip-ahead state. wake_hint_ starts at 0 so the hook
+  // runs at cycle 0 and a hook that never hints runs every cycle and forbids
+  // skipping; it is reset to 0 before every hook invocation.
   bool fast_path_ = true;
   Cycle wake_hint_ = 0;
   std::vector<VectorCore::WaitProfile> core_prof_;

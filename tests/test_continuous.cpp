@@ -400,6 +400,59 @@ TEST(SystemAdmission, HookFedRunMatchesStaticRun) {
             got.per_request[0].first_dispatch_cycle);
 }
 
+// The hook-call contract: a hook runs at cycle 0, on a cycle where a thread
+// block completed, or once its published wake hint is reached. A hook that
+// publishes kNeverCycle therefore runs at most once per thread block plus
+// the cycle-0 call - and, being a no-op elsewhere, changes nothing.
+TEST(SystemAdmission, HintingHookRunsOnlyAtCompletions) {
+  const SimConfig cfg = small_config();
+  const Workload wl = Workload::logit(tiny_model(), 128, cfg);
+
+  CompositeTbSource fixed;
+  fixed.add(0, shift_to_slot(wl.op, 0), wl.mapping);
+  System static_sys(cfg, fixed, &fixed);
+  const SimStats want = static_sys.run();
+
+  DynamicTbSource dyn;
+  System sys(cfg, dyn, &dyn);
+  std::uint64_t calls = 0;
+  const SimStats got = sys.run([&](System& s, Cycle now) {
+    ++calls;
+    if (now == 0) {
+      dyn.add(0, shift_to_slot(wl.op, 0), wl.mapping);
+      dyn.commit();
+      s.inject_work();
+    }
+    s.set_wake_hint(kNeverCycle);
+  });
+
+  EXPECT_EQ(got.cycles, want.cycles);
+  EXPECT_EQ(got.thread_blocks, want.thread_blocks);
+  EXPECT_GT(got.thread_blocks, 1u);
+  EXPECT_LE(calls, got.thread_blocks + 1);
+  EXPECT_LT(calls, got.cycles);
+}
+
+// A hook that never hints keeps the hint at 0 and runs on every cycle of
+// the run, cycle 0 and the drain cycle included.
+TEST(SystemAdmission, SilentHookRunsEveryCycle) {
+  const SimConfig cfg = small_config();
+  const Workload wl = Workload::logit(tiny_model(), 128, cfg);
+  DynamicTbSource dyn;
+  System sys(cfg, dyn, &dyn);
+  std::vector<Cycle> seen;
+  const SimStats got = sys.run([&](System& s, Cycle now) {
+    seen.push_back(now);
+    if (now == 0) {
+      dyn.add(0, shift_to_slot(wl.op, 0), wl.mapping);
+      dyn.commit();
+      s.inject_work();
+    }
+  });
+  ASSERT_EQ(seen.size(), got.cycles + 1);
+  for (std::size_t c = 0; c < seen.size(); ++c) EXPECT_EQ(seen[c], c);
+}
+
 // An empty run (no admission) terminates immediately.
 TEST(SystemAdmission, EmptySourceDrainsAtCycleZero) {
   const SimConfig cfg = small_config();

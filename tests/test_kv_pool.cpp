@@ -25,9 +25,6 @@ TEST(KvBlockPool, ConfigValidation) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg.block_bytes = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = KvBlockPoolConfig{};
-  cfg.shard_bits = 20;  // 1M shards is a typo, not a topology
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
 TEST(KvBlockPool, LayoutValidation) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "scenario/kv_pager.hpp"
 #include "scenario/scenario.hpp"
@@ -328,6 +329,79 @@ TEST(PagedEngine, NoRequestIsEverDropped) {
     }
     EXPECT_GE(s.makespan, s.per_request[2].finish_cycle);
   }
+}
+
+// A paged resume whose refetch hold is still open inside a live segment
+// (the scenario llamcat_stress seed 226 draws). Request 1 is admitted on
+// arrival, ends decode step 0 at the stage boundary where it is preempted
+// (its cold blocks swap out), waits in the queue, and is re-admitted with a
+// refetch hold the moment request 3 finishes - while request 4 keeps the
+// segment live. Its completed operator must not be read as completing
+// again: no extra step landmark, and no operator enters the machine before
+// the refetch transfer ends.
+TEST(PagedEngine, ResumeHeldForRefetchInsideALiveSegment) {
+  SimConfig cfg = SimConfig::table5();
+  cfg.core.num_cores = 1;
+  cfg.llc.size_bytes = 1ull << 20;
+  cfg.llc.num_slices = 1;
+  cfg.dram.num_channels = 1;
+  cfg.seed = 13070959964941338569ull;
+  cfg.max_cycles = 50'000'000;
+  ModelShape model = ModelShape::llama3_70b();
+  model.num_kv_heads = 1;
+  model.group_size = 4;
+  const RequestBatch batch(model, {{0, 320, 0, 3},
+                                   {1, 160, 71435, 2},
+                                   {2, 256, 62945, 3},
+                                   {3, 96, 0, 2},
+                                   {4, 128, 26177, 2}});
+  DecodePassConfig pc = continuous_cfg();
+  pc.include_gemv = true;
+  pc.serving.policy = AdmitPolicy::kFcfs;
+  pc.serving.kv_budget_bytes = 159771;
+  pc.serving.preempt = true;
+  pc.serving.preempt_ratio = 4;
+  pc.serving.kv_evict = KvEvictPolicy::kColdBlocks;
+  pc.serving.kv_block_bytes = 64;
+  pc.serving.refetch_cost = 2;
+  pc.audit = true;
+  const DecodePass pass(batch, pc, cfg);
+  const BatchStats s = pass.run();
+
+  const RequestStats& r = s.per_request[1];
+  ASSERT_EQ(r.admit_cycle, r.arrival_cycle);
+  ASSERT_EQ(r.preemptions, 1u);
+  ASSERT_GT(r.refetch_cycles, 0u);
+  ASSERT_FALSE(r.step_finish_cycles.empty());
+  // All of its queue wait follows the preemption at the end of step 0, so
+  // it resumes at step 0's landmark plus that wait - strictly inside a
+  // segment, not at a drain boundary.
+  const Cycle resume = r.step_finish_cycles[0] + r.queued_cycles;
+  bool inside_live_segment = false;
+  for (const auto& seg : s.per_op) {
+    const Cycle start =
+        std::stoull(seg.name.substr(seg.name.find('@') + 1));
+    if (start < resume && resume < start + seg.stats.cycles) {
+      inside_live_segment = true;
+    }
+  }
+  ASSERT_TRUE(inside_live_segment);
+
+  EXPECT_EQ(r.step_finish_cycles.size(), r.decode_steps);
+  EXPECT_EQ(r.step_finish_cycles.back(), r.finish_cycle);
+  // Its next operator waited out the hold, so step 1 cannot end before the
+  // refetch does.
+  ASSERT_GE(r.step_finish_cycles.size(), 2u);
+  EXPECT_GE(r.step_finish_cycles[1], resume + r.refetch_cycles);
+  // Every scheduled operator ran exactly once.
+  std::uint64_t scheduled_tbs = 0;
+  for (const scenario::ScheduledOp& op : pass.schedule()) {
+    if (op.request_id == r.id) {
+      scheduled_tbs +=
+          op.workload.mapping.num_thread_blocks(op.workload.op);
+    }
+  }
+  EXPECT_EQ(r.slice.thread_blocks, scheduled_tbs);
 }
 
 // The paged flag gates the new print columns and counters: a non-paged run

@@ -23,8 +23,8 @@ using scenario::run_fuzz_seed;
 // The corpus: a contiguous block of sweep seeds (cheap, diverse draws) plus
 // hand-picked seeds whose draws exercise the rare corners - paged eviction
 // with odd block sizes, starved machines under preemption, bursty arrivals
-// with tight budgets. No seed here has ever failed; bug-reproducing seeds
-// get appended with a comment naming the fix.
+// with tight budgets. Bug-reproducing seeds are appended at the end, each
+// with a comment naming the fix.
 constexpr std::uint64_t kPinnedSeeds[] = {
     1,  2,  3,  4,  5,  6,  7,  8,  9,  10,
     11, 12, 13, 14, 15, 16, 17, 18, 19, 20,
@@ -39,6 +39,13 @@ constexpr std::uint64_t kPinnedSeeds[] = {
     // group across three simultaneous arrivals under a tight paged budget
     // (co-resident pins refuse swaps at eviction time).
     41, 185,
+    // 226 preempts a paged request mid-segment and resumes it with a
+    // refetch while its peers keep the machine live: the engine used to read
+    // the resumed request's already-completed operator as just completed,
+    // stamping a third step landmark for two decode steps and enqueueing its
+    // next operator before the refetch finished. Fixed by tracking each
+    // request's phase explicitly (only an in-flight request completes).
+    226,
 };
 
 class PinnedSeed : public ::testing::TestWithParam<std::uint64_t> {};
