@@ -5,7 +5,7 @@
 // the soft CI gate); correctness PRs that change simulated cycle counts
 // regenerate the baseline alongside.
 //
-//   bench_selfperf --json=BENCH_selfperf.json
+//   bench_selfperf [--reps=N] [--json=BENCH_selfperf.json]
 //
 // Per scenario: simulated cycles (deterministic - a change means engine
 // behavior changed, not just speed), best-of-N wall ms, simulated
@@ -17,8 +17,10 @@
 // parallelism; best-of-N absorbs scheduler noise; RSS is process-wide and
 // monotone, so rows report the high-water mark up to and including that
 // scenario.
+#include <charconv>
 #include <chrono>
 #include <iostream>
+#include <string_view>
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
@@ -135,10 +137,38 @@ std::uint64_t peak_rss_kb() {
 #endif
 }
 
+void usage(std::ostream& os) {
+  os << "usage: bench_selfperf [--reps=N] [--json=PATH]\n"
+        "  --reps=N     runs per scenario, best wall time kept (default 3;\n"
+        "               1 under LLAMCAT_QUICK=1)\n"
+        "  --json=PATH  also write the rows as JSON (the BENCH_selfperf.json\n"
+        "               format tools/check_selfperf.sh compares)\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int reps = quick_scale() ? 1 : 3;
+  int reps = quick_scale() ? 1 : 3;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg(argv[i]);
+    if (arg == "--help" || arg == "-h") {
+      usage(std::cout);
+      return 0;
+    }
+    if (arg.rfind("--json=", 0) == 0) continue;  // JsonRows writes it
+    if (arg.rfind("--reps=", 0) == 0) {
+      const std::string_view v = arg.substr(7);
+      const char* last = v.data() + v.size();
+      const auto [end, ec] = std::from_chars(v.data(), last, reps);
+      if (ec == std::errc() && end == last && reps > 0) continue;
+      std::cerr << "bench_selfperf: bad " << arg
+                << " (want a positive integer)\n";
+      return 2;
+    }
+    std::cerr << "bench_selfperf: unknown argument " << arg << "\n";
+    usage(std::cerr);
+    return 2;
+  }
   print_header("bench_selfperf: simulator wall-clock speed (BENCH trajectory)");
   std::cout << "reps per scenario: " << reps
             << (quick_scale() ? " (LLAMCAT_QUICK=1)" : "") << "\n\n";

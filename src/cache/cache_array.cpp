@@ -12,43 +12,39 @@ CacheArray::CacheArray(std::uint32_t num_sets, std::uint32_t assoc,
       assoc_(assoc),
       repl_(repl),
       insert_(insert),
-      ways_(static_cast<std::size_t>(num_sets) * assoc),
+      tags_(static_cast<std::size_t>(num_sets) * assoc, kInvalid),
+      meta_(tags_.size()),
       plru_(num_sets, 0),
       rng_(seed) {
   assert(num_sets_ > 0 && assoc_ > 0);
 }
 
-CacheArray::Way* CacheArray::find(std::uint32_t set, Addr line_addr) {
-  Way* base = &ways_[static_cast<std::size_t>(set) * assoc_];
+std::size_t CacheArray::find(std::uint32_t set, Addr line_addr) const {
+  assert(line_addr != kInvalid);
+  const std::size_t base = base_of(set);
+  const Addr* tags = &tags_[base];
   for (std::uint32_t w = 0; w < assoc_; ++w) {
-    if (base[w].valid && base[w].line == line_addr) return &base[w];
+    if (tags[w] == line_addr) return base + w;
   }
-  return nullptr;
-}
-
-const CacheArray::Way* CacheArray::find(std::uint32_t set,
-                                        Addr line_addr) const {
-  return const_cast<CacheArray*>(this)->find(set, line_addr);
+  return npos;
 }
 
 bool CacheArray::probe(std::uint32_t set, Addr line_addr) const {
-  return find(set, line_addr) != nullptr;
+  return find(set, line_addr) != npos;
 }
 
 void CacheArray::promote(std::uint32_t set, std::uint32_t way) {
   if (repl_ == ReplPolicy::kFifo) return;  // eviction order fixed at insert
-  Way& w = ways_[static_cast<std::size_t>(set) * assoc_ + way];
+  Meta& w = meta_[base_of(set) + way];
   w.stamp = ++tick_;
   w.rrpv = 0;  // SRRIP: re-referenced lines become near-immediate
   if (repl_ == ReplPolicy::kTreePlru) set_plru_bits(set, way);
 }
 
 bool CacheArray::touch(std::uint32_t set, Addr line_addr) {
-  Way* w = find(set, line_addr);
-  if (w == nullptr) return false;
-  const auto way_idx = static_cast<std::uint32_t>(
-      w - &ways_[static_cast<std::size_t>(set) * assoc_]);
-  promote(set, way_idx);
+  const std::size_t i = find(set, line_addr);
+  if (i == npos) return false;
+  promote(set, static_cast<std::uint32_t>(i - base_of(set)));
   return true;
 }
 
@@ -91,10 +87,11 @@ std::uint32_t CacheArray::plru_victim(std::uint32_t set) const {
 }
 
 std::uint32_t CacheArray::victim_way(std::uint32_t set) {
-  Way* base = &ways_[static_cast<std::size_t>(set) * assoc_];
+  const Addr* tags = &tags_[base_of(set)];
+  Meta* base = &meta_[base_of(set)];
   // Invalid way first.
   for (std::uint32_t w = 0; w < assoc_; ++w) {
-    if (!base[w].valid) return w;
+    if (tags[w] == kInvalid) return w;
   }
   switch (repl_) {
     case ReplPolicy::kLru: {
@@ -144,11 +141,11 @@ std::optional<CacheArray::Evicted> CacheArray::fill(std::uint32_t set,
                                                     bool dirty) {
   assert(!probe(set, line_addr));
   const std::uint32_t w = victim_way(set);
-  Way& way = ways_[static_cast<std::size_t>(set) * assoc_ + w];
+  Addr& tag = tags_[base_of(set) + w];
+  Meta& way = meta_[base_of(set) + w];
   std::optional<Evicted> evicted;
-  if (way.valid) evicted = Evicted{way.line, way.dirty};
-  way.line = line_addr;
-  way.valid = true;
+  if (tag != kInvalid) evicted = Evicted{tag, way.dirty};
+  tag = line_addr;
   way.dirty = dirty;
   if (repl_ == ReplPolicy::kFifo) {
     // FIFO ignores the insertion policy: age is fixed at insertion time.
@@ -172,36 +169,36 @@ std::optional<CacheArray::Evicted> CacheArray::fill(std::uint32_t set,
 }
 
 bool CacheArray::mark_dirty(std::uint32_t set, Addr line_addr) {
-  Way* w = find(set, line_addr);
-  if (w == nullptr) return false;
-  w->dirty = true;
+  const std::size_t i = find(set, line_addr);
+  if (i == npos) return false;
+  meta_[i].dirty = true;
   return true;
 }
 
 bool CacheArray::invalidate(std::uint32_t set, Addr line_addr) {
-  Way* w = find(set, line_addr);
-  if (w == nullptr) return false;
-  w->valid = false;
-  w->dirty = false;
+  const std::size_t i = find(set, line_addr);
+  if (i == npos) return false;
+  tags_[i] = kInvalid;
+  meta_[i].dirty = false;
   return true;
 }
 
 std::uint8_t CacheArray::rrpv_of(std::uint32_t set, Addr line_addr) const {
-  const Way* w = find(set, line_addr);
-  return w != nullptr ? w->rrpv : 0;
+  const std::size_t i = find(set, line_addr);
+  return i != npos ? meta_[i].rrpv : 0;
 }
 
 std::uint64_t CacheArray::valid_count() const {
   std::uint64_t n = 0;
-  for (const auto& w : ways_) n += w.valid ? 1 : 0;
+  for (const Addr t : tags_) n += t != kInvalid ? 1 : 0;
   return n;
 }
 
 std::vector<Addr> CacheArray::set_contents(std::uint32_t set) const {
   std::vector<Addr> out;
-  const Way* base = &ways_[static_cast<std::size_t>(set) * assoc_];
+  const Addr* tags = &tags_[base_of(set)];
   for (std::uint32_t w = 0; w < assoc_; ++w) {
-    if (base[w].valid) out.push_back(base[w].line);
+    if (tags[w] != kInvalid) out.push_back(tags[w]);
   }
   return out;
 }

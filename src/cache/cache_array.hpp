@@ -54,16 +54,22 @@ class CacheArray {
   [[nodiscard]] std::uint8_t rrpv_of(std::uint32_t set, Addr line_addr) const;
 
  private:
-  struct Way {
-    Addr line = 0;
-    bool valid = false;
+  /// Tag of an empty way; never a line-aligned address.
+  static constexpr Addr kInvalid = ~Addr{0};
+  /// Replacement state of one way, kept apart from the tags so an 8-way
+  /// probe reads one host cache line of tags.
+  struct Meta {
+    std::uint64_t stamp = 0;  // LRU / FIFO timestamp
+    std::uint8_t rrpv = 0;    // kSrrip: 2-bit re-reference prediction
     bool dirty = false;
-    std::uint64_t stamp = 0;   // LRU / FIFO timestamp
-    std::uint8_t rrpv = 0;     // kSrrip: 2-bit re-reference prediction
   };
 
-  Way* find(std::uint32_t set, Addr line_addr);
-  const Way* find(std::uint32_t set, Addr line_addr) const;
+  [[nodiscard]] std::size_t base_of(std::uint32_t set) const {
+    return static_cast<std::size_t>(set) * assoc_;
+  }
+  /// Global way index (into tags_/meta_) holding the line, or npos.
+  [[nodiscard]] std::size_t find(std::uint32_t set, Addr line_addr) const;
+  static constexpr std::size_t npos = ~std::size_t{0};
   std::uint32_t victim_way(std::uint32_t set);
   void promote(std::uint32_t set, std::uint32_t way);
   void set_plru_bits(std::uint32_t set, std::uint32_t way);
@@ -73,7 +79,8 @@ class CacheArray {
   std::uint32_t assoc_;
   ReplPolicy repl_;
   InsertPolicy insert_;
-  std::vector<Way> ways_;             // num_sets * assoc
+  std::vector<Addr> tags_;            // num_sets * assoc, kInvalid = empty
+  std::vector<Meta> meta_;            // parallel to tags_
   std::vector<std::uint32_t> plru_;   // tree-PLRU bits per set
   std::uint64_t tick_ = 0;            // LRU clock
   Xoshiro256 rng_;

@@ -4,7 +4,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/math_util.hpp"
@@ -42,23 +42,26 @@ class Mshr {
   [[nodiscard]] const Entry* find(Addr line_addr) const;
   Entry* find(Addr line_addr);
 
-  /// Fill return: removes the entry and hands back its merged targets.
-  /// Precondition: the entry exists.
-  std::vector<MshrTarget> release(Addr line_addr);
+  /// Fill return: removes the entry and copies its merged targets into
+  /// `targets` (cleared first). Entry slots and their target storage are
+  /// recycled, so once every slot and `targets` have grown to their
+  /// largest merge the fill path allocates nothing. Precondition: the
+  /// entry exists.
+  void release(Addr line_addr, std::vector<MshrTarget>& targets);
 
-  [[nodiscard]] bool entry_available() const {
-    return entries_.size() < num_entries_;
-  }
-  [[nodiscard]] std::size_t occupancy() const { return entries_.size(); }
+  [[nodiscard]] bool entry_available() const { return live_ < num_entries_; }
+  [[nodiscard]] std::size_t occupancy() const { return live_; }
   [[nodiscard]] std::uint32_t capacity() const { return num_entries_; }
   [[nodiscard]] std::uint32_t target_capacity() const { return num_targets_; }
 
   /// Live view for the arbiter's MSHR_snapshot (paper Fig 5: a direct wire).
-  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
+  [[nodiscard]] std::span<const Entry> entries() const {
+    return {entries_.data(), live_};
+  }
 
   /// Per-cycle stats hook: accumulates numEntry occupancy.
   void sample_occupancy() {
-    occ_.add(static_cast<double>(entries_.size()) /
+    occ_.add(static_cast<double>(live_) /
              static_cast<double>(num_entries_));
   }
 
@@ -66,7 +69,7 @@ class Mshr {
   /// so `cycles` repeated samples collapse into one call (bit-identical to
   /// the per-cycle loop via add_repeated).
   void sample_occupancy(std::uint64_t cycles) {
-    occ_.add_repeated(static_cast<double>(entries_.size()) /
+    occ_.add_repeated(static_cast<double>(live_) /
                           static_cast<double>(num_entries_),
                       cycles);
   }
@@ -75,7 +78,11 @@ class Mshr {
  private:
   std::uint32_t num_entries_;
   std::uint32_t num_targets_;
-  std::vector<Entry> entries_;  // <= num_entries_, linear scan (6 per slice)
+  // num_entries_ slots; the first live_ hold the outstanding misses in
+  // allocation order (linear scan, 6 per slice). Released slots keep their
+  // target vectors' capacity for the next allocation.
+  std::vector<Entry> entries_;
+  std::size_t live_ = 0;
   OccupancyAverage occ_;
 };
 

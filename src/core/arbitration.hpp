@@ -94,16 +94,17 @@ class RequestArbiter {
       const std::vector<QueuedRequest>& queue) const;
   [[nodiscard]] std::size_t pick_balanced(
       const std::vector<QueuedRequest>& queue) const;
+  /// MA / BMA / oracle: ranks every queued request by speculated class.
+  /// `use_oracle` replaces the hit_buffer with `oracle`'s ground truth
+  /// (none when null); `balanced_ties` breaks class ties by progress.
   [[nodiscard]] Choice pick_mshr_aware(const std::vector<QueuedRequest>& queue,
-                                       const Mshr& mshr,
-                                       bool balanced_ties) const;
+                                       const Mshr& mshr, bool balanced_ties,
+                                       bool use_oracle,
+                                       const ILookupOracle* oracle) const;
   [[nodiscard]] std::size_t pick_mrpb(
       const std::vector<QueuedRequest>& queue) const;
-  [[nodiscard]] Choice pick_oracle(const std::vector<QueuedRequest>& queue,
-                                   const Mshr& mshr,
-                                   const ILookupOracle* oracle) const;
-  [[nodiscard]] SpecClass classify_oracle(Addr line_addr, const Mshr& mshr,
-                                          const ILookupOracle* oracle) const;
+  /// True when `line_addr` is in the per-pick MSHR-bound snapshot.
+  [[nodiscard]] bool snapshot_has(Addr line_addr) const;
 
   ArbConfig cfg_;
   HitBuffer hit_buffer_;
@@ -113,6 +114,13 @@ class RequestArbiter {
   CoreId mrpb_core_ = static_cast<CoreId>(kInvalidCore);
   /// kRandom: RNG state is not logical arbiter state; select() stays const.
   mutable Xoshiro256 rng_;
+  /// Scratch for pick_mshr_aware: the lines of every MSHR entry plus every
+  /// sent_reqs entry with spec_hit == 0, gathered once per pick and reused
+  /// across picks. A vector, not a fixed array: mshr_entries is a knob.
+  mutable std::vector<Addr> mshr_bound_;
+  /// One bit per hash bucket of mshr_bound_: most probes miss, and an
+  /// unset bit answers them without the scan.
+  mutable std::uint64_t mshr_bound_mask_ = 0;
 };
 
 }  // namespace llamcat

@@ -1,41 +1,35 @@
 #include "core/speculation.hpp"
 
-#include <cassert>
+#include <algorithm>
+#include <bit>
 
 namespace llamcat {
 
-void HitBuffer::record_hit(Addr line_addr) {
+SentReqs::SentReqs(std::uint32_t depth, std::uint32_t lifetime)
+    : depth_(depth), lifetime_(lifetime) {
   if (depth_ == 0) return;
-  fifo_.push_back(line_addr);
-  ++counts_[line_addr];
-  if (fifo_.size() > depth_) {
-    const Addr old = fifo_.front();
-    fifo_.pop_front();
-    auto it = counts_.find(old);
-    assert(it != counts_.end());
-    if (--it->second == 0) counts_.erase(it);
+  // One push per cycle and expiry at the lifetime keep at most lifetime + 1
+  // entries live; size for that up front so the steady state never grows.
+  ring_.resize(std::bit_ceil(
+      static_cast<std::size_t>(std::max(depth_, lifetime_ + 1))));
+  mask_ = ring_.size() - 1;
+}
+
+void SentReqs::grow() {
+  std::vector<Entry> bigger(ring_.size() * 2);
+  for (std::size_t i = 0; i < size_; ++i) {
+    bigger[i] = ring_[(head_ + i) & mask_];
   }
+  ring_ = std::move(bigger);
+  mask_ = ring_.size() - 1;
+  head_ = 0;
 }
 
 void SentReqs::push(Addr line_addr, bool spec_hit, Cycle now) {
-  // The FIFO depth is a hardware bound; the lookup pipeline can only hold
-  // lifetime_ requests, so overflow indicates a misconfiguration.
-  assert(fifo_.size() < depth_ || depth_ == 0);
   if (depth_ == 0) return;
-  fifo_.push_back(Entry{line_addr, spec_hit, now});
-  if (!spec_hit) ++mshr_bound_[line_addr];
-}
-
-void SentReqs::expire(Cycle now) {
-  while (!fifo_.empty() && fifo_.front().pushed_at + lifetime_ <= now) {
-    const Entry& e = fifo_.front();
-    if (!e.spec_hit) {
-      auto it = mshr_bound_.find(e.line_addr);
-      assert(it != mshr_bound_.end());
-      if (--it->second == 0) mshr_bound_.erase(it);
-    }
-    fifo_.pop_front();
-  }
+  if (size_ == ring_.size()) grow();
+  ring_[(head_ + size_) & mask_] = Entry{line_addr, now, spec_hit};
+  ++size_;
 }
 
 }  // namespace llamcat

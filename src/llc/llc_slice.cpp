@@ -78,7 +78,8 @@ void LlcSlice::process_fills(Cycle now) {
     const Addr line = pending_fills_.front();
     pending_fills_.pop_front();
     bool dirty = false;
-    for (const MshrTarget& t : mshr_.release(line)) {
+    mshr_.release(line, fill_targets_);
+    for (const MshrTarget& t : fill_targets_) {
       if (t.is_store) {
         dirty = true;
       } else {
