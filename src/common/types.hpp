@@ -25,7 +25,7 @@ inline constexpr std::uint32_t kLineBytes = 64;
 constexpr Addr line_align(Addr a) { return a & ~static_cast<Addr>(kLineBytes - 1); }
 /// Line index of a byte address (address / 64).
 constexpr Addr line_index(Addr a) { return a / kLineBytes; }
-/// Fibonacci-mixed line index for host-side hash tables and filters: take
+/// Fibonacci-mixed line index for host-side hash tables: take
 /// the top bits. Line addresses are 64-byte aligned and mostly consecutive,
 /// so the raw address or its low bits would crowd adjacent buckets.
 constexpr std::uint64_t line_hash(Addr a) {

@@ -17,14 +17,27 @@ void RequestArbiter::reset_progress() {
   progress_.assign(progress_.size(), 0);
 }
 
+namespace {
+/// The class order of Fig 5: a speculated cache hit beats an MSHR hit,
+/// which beats a miss.
+template <class IsHit, class IsMshrBound>
+RequestArbiter::SpecClass speculate(Addr line_addr, IsHit is_hit,
+                                    IsMshrBound is_mshr_bound) {
+  if (is_hit(line_addr)) return RequestArbiter::SpecClass::kCacheHit;
+  if (is_mshr_bound(line_addr)) return RequestArbiter::SpecClass::kMshrHit;
+  return RequestArbiter::SpecClass::kMiss;
+}
+}  // namespace
+
 RequestArbiter::SpecClass RequestArbiter::classify(Addr line_addr,
                                                    const Mshr& mshr) const {
   // Step 1+2 of Fig 5: the hit_buffer section of the combined list.
-  if (hit_buffer_.contains(line_addr)) return SpecClass::kCacheHit;
   // Step 3: MSHR_snapshot (live wire) + sent_reqs with spec_hit == 0.
-  if (mshr.find(line_addr) != nullptr) return SpecClass::kMshrHit;
-  if (sent_reqs_.contains_mshr_bound(line_addr)) return SpecClass::kMshrHit;
-  return SpecClass::kMiss;
+  return speculate(
+      line_addr, [&](Addr a) { return hit_buffer_.contains(a); },
+      [&](Addr a) {
+        return mshr.find(a) != nullptr || sent_reqs_.contains_mshr_bound(a);
+      });
 }
 
 std::size_t RequestArbiter::pick_fcfs(
@@ -48,66 +61,40 @@ std::size_t RequestArbiter::pick_balanced(
   return best;
 }
 
-namespace {
-/// Bit of a line in the snapshot's 64-bit presence mask.
-std::uint64_t mask_bit(Addr line_addr) {
-  return std::uint64_t{1} << (line_hash(line_addr) >> 58);
-}
-}  // namespace
-
-bool RequestArbiter::snapshot_has(Addr line_addr) const {
-  if ((mshr_bound_mask_ & mask_bit(line_addr)) == 0) return false;
-  for (const Addr a : mshr_bound_) {
-    if (a == line_addr) return true;
-  }
-  return false;
-}
-
+template <class IsHit>
 RequestArbiter::Choice RequestArbiter::pick_mshr_aware(
     const std::vector<QueuedRequest>& queue, const Mshr& mshr,
-    bool balanced_ties, bool use_oracle, const ILookupOracle* oracle) const {
+    bool balanced_ties, IsHit is_hit) const {
   // Neither the MSHR nor sent_reqs changes during a pick, so the MSHR half
   // of classify() is one snapshot shared by every queued request.
   mshr_bound_.clear();
   for (const Mshr::Entry& e : mshr.entries()) mshr_bound_.push_back(e.line_addr);
   sent_reqs_.append_mshr_bound(mshr_bound_);
-  mshr_bound_mask_ = 0;
-  for (const Addr a : mshr_bound_) mshr_bound_mask_ |= mask_bit(a);
-  // The oracle replaces only the hit_buffer half of the prediction; the
-  // MSHR half (snapshot + sent_reqs) is already exact by construction.
-  const auto is_hit = [&](Addr line_addr) {
-    return use_oracle ? oracle != nullptr && oracle->is_cache_hit(line_addr)
-                      : hit_buffer_.contains(line_addr);
-  };
-  const Addr head = queue[0].req.line_addr;
-  std::size_t best = 0;
-  SpecClass best_class = is_hit(head)         ? SpecClass::kCacheHit
-                         : snapshot_has(head) ? SpecClass::kMshrHit
-                                              : SpecClass::kMiss;
-  for (std::size_t i = 1; i < queue.size(); ++i) {
-    // Request i wins with a better class, or - BMA - with the same class
-    // and a less-served requester; remaining ties keep the earliest
-    // arrival. Classification is pure, so only the lookups that can still
-    // change the pick are made: `limit` is the worst class that wins.
-    const bool less_served =
-        balanced_ties &&
-        progress_[queue[i].req.core] < progress_[queue[best].req.core];
-    const int limit = static_cast<int>(best_class) - (less_served ? 0 : 1);
-    if (limit < 0) continue;
-    const Addr line = queue[i].req.line_addr;
-    SpecClass c;
-    if (is_hit(line)) {
-      c = SpecClass::kCacheHit;
-    } else if (limit >= static_cast<int>(SpecClass::kMshrHit) &&
-               snapshot_has(line)) {
-      c = SpecClass::kMshrHit;
-    } else if (limit >= static_cast<int>(SpecClass::kMiss)) {
-      c = SpecClass::kMiss;
-    } else {
-      continue;
+  const auto is_mshr_bound = [&](Addr line_addr) {
+    for (const Addr a : mshr_bound_) {
+      if (a == line_addr) return true;
     }
-    best = i;
-    best_class = c;
+    return false;
+  };
+  std::size_t best = 0;
+  SpecClass best_class =
+      speculate(queue[0].req.line_addr, is_hit, is_mshr_bound);
+  for (std::size_t i = 1; i < queue.size(); ++i) {
+    const SpecClass c =
+        speculate(queue[i].req.line_addr, is_hit, is_mshr_bound);
+    bool better = false;
+    if (c < best_class) {
+      better = true;
+    } else if (c == best_class && balanced_ties) {
+      // BMA: within a class, pick the least-served requester; remaining
+      // ties resolve to the earliest arrival (i.e. keep current).
+      better =
+          progress_[queue[i].req.core] < progress_[queue[best].req.core];
+    }
+    if (better) {
+      best = i;
+      best_class = c;
+    }
   }
   return Choice{best, best_class};
 }
@@ -130,6 +117,7 @@ std::optional<RequestArbiter::Choice> RequestArbiter::select(
     const std::vector<QueuedRequest>& queue, const Mshr& mshr,
     const ILookupOracle* oracle) const {
   if (queue.empty()) return std::nullopt;
+  const auto hb_hit = [this](Addr a) { return hit_buffer_.contains(a); };
   switch (cfg_.policy) {
     case ArbPolicy::kFcfs:
     case ArbPolicy::kCobrra: {
@@ -141,19 +129,21 @@ std::optional<RequestArbiter::Choice> RequestArbiter::select(
       return Choice{i, classify(queue[i].req.line_addr, mshr)};
     }
     case ArbPolicy::kMa:
-      return pick_mshr_aware(queue, mshr, /*balanced_ties=*/false,
-                             /*use_oracle=*/false, nullptr);
+      return pick_mshr_aware(queue, mshr, /*balanced_ties=*/false, hb_hit);
     case ArbPolicy::kBma:
-      return pick_mshr_aware(queue, mshr, /*balanced_ties=*/true,
-                             /*use_oracle=*/false, nullptr);
+      return pick_mshr_aware(queue, mshr, /*balanced_ties=*/true, hb_hit);
     case ArbPolicy::kMrpb: {
       const std::size_t i = pick_mrpb(queue);
       return Choice{i, classify(queue[i].req.line_addr, mshr)};
     }
     case ArbPolicy::kOracle:
-      // BMA with a ground-truth tag probe in place of the hit_buffer.
+      // BMA with a ground-truth tag probe in place of the hit_buffer; the
+      // MSHR half (snapshot + sent_reqs) is already exact by construction.
       return pick_mshr_aware(queue, mshr, /*balanced_ties=*/true,
-                             /*use_oracle=*/true, oracle);
+                             [oracle](Addr a) {
+                               return oracle != nullptr &&
+                                      oracle->is_cache_hit(a);
+                             });
     case ArbPolicy::kRandom: {
       const std::size_t i = static_cast<std::size_t>(rng_.below(queue.size()));
       return Choice{i, classify(queue[i].req.line_addr, mshr)};

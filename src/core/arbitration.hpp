@@ -95,16 +95,14 @@ class RequestArbiter {
   [[nodiscard]] std::size_t pick_balanced(
       const std::vector<QueuedRequest>& queue) const;
   /// MA / BMA / oracle: ranks every queued request by speculated class.
-  /// `use_oracle` replaces the hit_buffer with `oracle`'s ground truth
-  /// (none when null); `balanced_ties` breaks class ties by progress.
+  /// `is_hit` is the cache-hit predicate (the hit_buffer, or the oracle's
+  /// ground truth); `balanced_ties` breaks class ties by progress.
+  template <class IsHit>
   [[nodiscard]] Choice pick_mshr_aware(const std::vector<QueuedRequest>& queue,
                                        const Mshr& mshr, bool balanced_ties,
-                                       bool use_oracle,
-                                       const ILookupOracle* oracle) const;
+                                       IsHit is_hit) const;
   [[nodiscard]] std::size_t pick_mrpb(
       const std::vector<QueuedRequest>& queue) const;
-  /// True when `line_addr` is in the per-pick MSHR-bound snapshot.
-  [[nodiscard]] bool snapshot_has(Addr line_addr) const;
 
   ArbConfig cfg_;
   HitBuffer hit_buffer_;
@@ -118,9 +116,6 @@ class RequestArbiter {
   /// sent_reqs entry with spec_hit == 0, gathered once per pick and reused
   /// across picks. A vector, not a fixed array: mshr_entries is a knob.
   mutable std::vector<Addr> mshr_bound_;
-  /// One bit per hash bucket of mshr_bound_: most probes miss, and an
-  /// unset bit answers them without the scan.
-  mutable std::uint64_t mshr_bound_mask_ = 0;
 };
 
 }  // namespace llamcat

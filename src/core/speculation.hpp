@@ -8,13 +8,10 @@
 // MSHR_snapshot is a direct wire to the live MSHR and needs no structure.
 //
 // Both FIFOs are flat rings searched by a linear scan, like the CAMs they
-// model; the hit_buffer keeps a per-bucket count of its lines in front of
-// the scan, so most misses cost one load. At the paper's depths (32 and 16
-// entries) this beats a node-based hash map, and the rings never allocate
-// once sized.
+// model. At the paper's depths (32 and 16 entries) a probe reads a few
+// host cache lines, and the rings never allocate once sized.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -30,17 +27,13 @@ class HitBuffer {
 
   void record_hit(Addr line_addr) {
     if (ring_.empty()) return;
-    if (size_ == ring_.size()) --per_bucket_[bucket(ring_[head_])];
     ring_[head_] = line_addr;
-    ++per_bucket_[bucket(line_addr)];
     if (++head_ == ring_.size()) head_ = 0;
     if (size_ < ring_.size()) ++size_;
   }
-  /// Most probes miss; an empty bucket answers those without the scan.
   /// Entries fill slots 0..depth-1 before the ring wraps, so the live
   /// entries are always the first size() slots.
   [[nodiscard]] bool contains(Addr line_addr) const {
-    if (per_bucket_[bucket(line_addr)] == 0) return false;
     for (std::size_t i = 0; i < size_; ++i) {
       if (ring_[i] == line_addr) return true;
     }
@@ -52,14 +45,9 @@ class HitBuffer {
   }
 
  private:
-  static std::size_t bucket(Addr line_addr) {
-    return static_cast<std::size_t>(line_hash(line_addr) >> 56);
-  }
-
   std::vector<Addr> ring_;  // depth slots
   std::size_t head_ = 0;    // next slot to overwrite
   std::size_t size_ = 0;
-  std::array<std::uint32_t, 256> per_bucket_{};  // live entries per bucket
 };
 
 /// Requests chosen by the arbiter but not yet visible in the MSHR.
